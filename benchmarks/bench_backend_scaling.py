@@ -16,12 +16,15 @@ Two benchmarks run on the Netflix-sized synthetic dataset:
   hardware-limited run is never mistaken for a scaling regression.
 * ``test_kernel_data_plane_throughput`` — epoch throughput of the
   pre-PR-2 path (``kernel="minibatch"`` + per-task gather/validate) vs
-  the block-major path (``kernel="auto"`` +
-  :class:`repro.sparse.BlockStore`) for the simulate and threads
-  engines, plus per-stage timings (gather vs validate vs kernel vs RMSE
-  eval).  Results are written to ``BENCH_kernels.json``; the two paths
-  are bitwise-identical, so the speedup is pure data-plane overhead
-  removed.
+  the block-major path (``kernel="minibatch_local"`` +
+  :class:`repro.sparse.BlockStore`) vs the compiled ``kernel="native"``
+  (where it loads) for the simulate and threads engines, plus per-stage
+  timings (gather vs validate vs each kernel vs RMSE eval).  Results are
+  written to ``BENCH_kernels.json``; the first two paths are
+  bitwise-identical, so that speedup is pure data-plane overhead
+  removed, and the ``native_*`` figures are the same run's before/after
+  row for the compiled kernel (``native_speedup`` is over the numpy
+  block-major path; on ``threads`` it also counts the released GIL).
 """
 
 import json
@@ -33,6 +36,8 @@ from conftest import emit
 from repro.config import HardwareConfig
 from repro.core import HeterogeneousTrainer, factorize
 from repro.datasets import load_dataset
+from repro.hardware import machine_fingerprint
+from repro.sgd import native_status
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_JSON = os.path.join(_ROOT, "BENCH_kernels.json")
@@ -224,6 +229,7 @@ def _stage_timings(data, training):
         rmse,
         sgd_block_minibatch,
         sgd_block_minibatch_local,
+        sgd_block_native,
     )
     from repro.sparse import BlockStore
 
@@ -255,14 +261,21 @@ def _stage_timings(data, training):
 
     store = BlockStore(train)
     records = [store.block_data(b) for b in blocks]
-    start = time.perf_counter()
-    for rec in records:
-        sgd_block_minibatch_local(
-            model.p, model.q, rec.local_rows, rec.local_cols, rec.vals,
-            rate, training.reg_p, training.reg_q,
-            rec.row_range, rec.col_range, validate=False,
-        )
-    kernel_local_s = time.perf_counter() - start
+
+    def band_local_epoch_s(kernel):
+        start = time.perf_counter()
+        for rec in records:
+            kernel(
+                model.p, model.q, rec.local_rows, rec.local_cols, rec.vals,
+                rate, training.reg_p, training.reg_q,
+                rec.row_range, rec.col_range, validate=False,
+            )
+        return time.perf_counter() - start
+
+    kernel_local_s = band_local_epoch_s(sgd_block_minibatch_local)
+    kernel_native_s = (
+        band_local_epoch_s(sgd_block_native) if native_status()[0] else None
+    )
 
     start = time.perf_counter()
     rmse(model, data.test)
@@ -273,6 +286,9 @@ def _stage_timings(data, training):
         "validate_ms": round(1e3 * validate_s, 3),
         "kernel_minibatch_ms": round(1e3 * kernel_minibatch_s, 3),
         "kernel_minibatch_local_ms": round(1e3 * kernel_local_s, 3),
+        "kernel_native_ms": (
+            None if kernel_native_s is None else round(1e3 * kernel_native_s, 3)
+        ),
         "rmse_eval_ms": round(1e3 * eval_s, 3),
         "n_blocks": len(blocks),
         "train_nnz": int(train.nnz),
@@ -296,6 +312,7 @@ def test_kernel_data_plane_throughput(bench_profile):
         trainer.calibrate(data.train)  # keep the offline phase out of timing
         return trainer
 
+    native_ok, native_reason = native_status()
     engines = {}
     rows = [
         f"{'engine':<10} {'path':<12} {'wall s':>9} {'ratings/s':>12} "
@@ -307,7 +324,8 @@ def test_kernel_data_plane_throughput(bench_profile):
             calibrated_trainer=calibrated(),
         )
         block_result, block_wall = _run(
-            data, training, backend, calibrated_trainer=calibrated(),
+            data, training, backend, kernel="minibatch_local",
+            calibrated_trainer=calibrated(),
         )
         legacy_tp = legacy_result.trace.total_points() / legacy_wall
         block_tp = block_result.trace.total_points() / block_wall
@@ -330,6 +348,23 @@ def test_kernel_data_plane_throughput(bench_profile):
         # Bitwise identity is enforced by the test suite; here we only
         # require the data plane not to regress throughput.
         assert speedup > 1.0, f"{backend}: block-major path slower than legacy"
+        if native_ok:
+            native_result, native_wall = _run(
+                data, training, backend, kernel="native",
+                calibrated_trainer=calibrated(),
+            )
+            native_tp = native_result.trace.total_points() / native_wall
+            engines[backend].update(
+                {
+                    "native_wall_s": round(native_wall, 4),
+                    "native_ratings_per_s": round(native_tp),
+                    "native_speedup": round(native_tp / block_tp, 3),
+                }
+            )
+            rows.append(
+                f"{backend:<10} {'native':<12} {native_wall:>9.3f} "
+                f"{native_tp:>12.0f} {native_tp / legacy_tp:>7.2f}x"
+            )
 
     stages = _stage_timings(data, training)
     payload = {
@@ -337,7 +372,11 @@ def test_kernel_data_plane_throughput(bench_profile):
         "iterations": iterations,
         "profile": bench_profile,
         "train_nnz": stages["train_nnz"],
-        "hardware": {"cpu_threads": 4, "gpu_count": 1},
+        # The machine the numbers were measured on; the *scheduled* shape
+        # (4 CPU workers + 1 GPU worker of hsgd_star) is a workload fact.
+        "hardware": machine_fingerprint(),
+        "scheduled_workers": {"cpu_threads": 4, "gpu_count": 1},
+        "native_unavailable": None if native_ok else native_reason,
         "engines": engines,
         "stages_per_epoch": stages,
     }

@@ -36,6 +36,7 @@ from .core import ALGORITHMS, HeterogeneousTrainer
 from .exec import Checkpoint, EarlyStopping, JsonlLogger, backend_names
 from .serve import DEFAULT_CHUNK_ITEMS
 from .serve.service import DEFAULT_SERVICE_BATCH
+from .sgd.native import native_status
 from .datasets import dataset_names, load_dataset
 from .experiments import (
     ExperimentContext,
@@ -219,10 +220,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=KERNEL_NAMES,
         help=(
-            "SGD update kernel: 'auto' (default) uses the block-major local "
-            "kernel over pre-gathered band data, 'minibatch' the global-index "
-            "vectorised kernel (bitwise-identical), 'minibatch_local' forces "
-            "the local kernel, 'sequential' the exact per-rating reference "
+            "SGD update kernel: 'auto' (default) uses the compiled 'native' "
+            "kernel when a C compiler is available and the numpy "
+            "'minibatch_local' kernel otherwise (both over pre-gathered band "
+            "data), 'native' forces the compiled kernel (an error when it "
+            "cannot be built; within 1e-12 of the numpy kernels), "
+            "'minibatch_local' forces the numpy band-local kernel, 'minibatch' "
+            "the global-index vectorised kernel (bitwise-identical to it), "
+            "'sequential' the exact per-rating reference "
             "loop (slow)"
         ),
     )
@@ -729,7 +734,11 @@ def _run_train(args: argparse.Namespace) -> None:
     print(f"dataset            : {args.dataset} ({data.train.nnz} train ratings)")
     print(f"algorithm          : {args.algorithm}")
     print(f"backend            : {result.backend}")
-    print(f"kernel             : {args.kernel}")
+    # Like the backend, the *resolved* kernel — and, when "auto" had to
+    # settle for the numpy kernel, why (already computed by the run).
+    print(f"kernel             : {result.kernel_name}")
+    if args.kernel == "auto" and not native_status()[0]:
+        print(f"native kernel      : unavailable ({native_status()[1]})")
     if args.resume is not None:
         print(f"resumed from       : {args.resume}")
     rmse_label = (

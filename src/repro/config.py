@@ -73,12 +73,16 @@ DEFAULT_BATCH_SIZE = 256
 DEFAULT_MAX_WORKER_RESTARTS = 3
 
 #: The selectable SGD update kernels (see :mod:`repro.sgd.kernels`):
-#: ``"auto"`` picks the block-major local kernel whenever pre-gathered
-#: block data is available (it is bitwise-identical to ``"minibatch"``),
+#: ``"auto"`` picks the compiled ``"native"`` kernel when it loads on this
+#: machine and the numpy ``"minibatch_local"`` kernel otherwise (both need
+#: pre-gathered block data; without it ``"auto"`` runs ``"minibatch"``),
 #: ``"minibatch"`` forces the global-index vectorised kernel,
-#: ``"minibatch_local"`` forces the band-local kernel, and
-#: ``"sequential"`` forces the exact per-rating reference loop (slow).
-KERNEL_NAMES = ("auto", "minibatch", "minibatch_local", "sequential")
+#: ``"minibatch_local"`` forces the band-local numpy kernel
+#: (bitwise-identical to ``"minibatch"``), ``"native"`` forces the C
+#: kernel (within 1e-12 of the numpy pair; an error when it cannot be
+#: built), and ``"sequential"`` forces the exact per-rating reference
+#: loop (slow).
+KERNEL_NAMES = ("auto", "minibatch", "minibatch_local", "native", "sequential")
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,11 @@ class TrainingConfig:
         (real concurrent worker threads; see :mod:`repro.exec`).
     kernel:
         SGD update kernel (one of :data:`KERNEL_NAMES`).  The default
-        ``"auto"`` selects the block-major local kernel, which consumes
-        per-block pre-gathered, pre-validated band-local arrays and is
-        bitwise-identical to the ``"minibatch"`` kernel.
+        ``"auto"`` selects a block-major kernel, which consumes per-block
+        pre-gathered, pre-validated band-local arrays: the compiled
+        ``"native"`` kernel when it loads on this machine, else the numpy
+        ``"minibatch_local"`` kernel (bitwise-identical to
+        ``"minibatch"``; ``"native"`` agrees with both to 1e-12).
     batch_size:
         Mini-batch length of the vectorised kernels
         (:data:`DEFAULT_BATCH_SIZE` when ``None``).  ``"auto"`` resolves

@@ -356,6 +356,8 @@ class HeterogeneousTrainer:
             trace=outcome.trace,
             converged=outcome.converged,
             stop_reason=outcome.stop_reason,
+            worker_restarts=outcome.worker_restarts,
+            kernel_name=outcome.kernel_name,
             algorithm=self.spec.key,
             alpha=alpha,
             calibration=self._calibration,

@@ -60,6 +60,11 @@ class EngineResult:
     """Worker processes respawned after crashes during the run (always 0
     for the simulate and threads backends)."""
 
+    kernel_name: str = ""
+    """The concrete SGD kernel every task of the run executed —
+    ``"auto"`` resolved (:func:`effective_kernel_name`), e.g.
+    ``"native"`` or ``"minibatch_local"``."""
+
     @property
     def engine_time(self) -> float:
         """Total engine seconds of the run.
@@ -159,6 +164,30 @@ def resolve_stopping_conditions(
     return iterations if iterations is not None else MAX_UNBOUNDED_ITERATIONS
 
 
+def effective_kernel_name(training, exact_kernel=False, block_major=True) -> str:
+    """The concrete kernel a run with these settings executes.
+
+    :func:`~repro.sgd.kernels.resolve_kernel_name` plus the one fact it
+    cannot know: whether the run has block-major data.  Without it the
+    auto-selected band-local kernel has no band frame and the global
+    mini-batch kernel stands in (bitwise-identical to
+    ``"minibatch_local"``); an *explicitly* forced band-local kernel is
+    an error instead of a silent swap.
+    """
+    from ..sgd.kernels import BLOCK_MAJOR_KERNELS, resolve_kernel_name
+
+    name = resolve_kernel_name(training.kernel, exact_kernel=exact_kernel)
+    if block_major or name not in BLOCK_MAJOR_KERNELS:
+        return name
+    if training.kernel != "auto":
+        raise ConfigurationError(
+            f'kernel="{name}" requires the block-major data plane; '
+            'enable the block store or use kernel="minibatch" '
+            '(bitwise-identical to "minibatch_local")'
+        )
+    return "minibatch"
+
+
 def apply_task_updates(
     model, train, task, rate, training, exact_kernel=False, store=None
 ):
@@ -172,48 +201,34 @@ def apply_task_updates(
     default), the task's ratings come as pre-gathered, pre-validated,
     band-local contiguous arrays and the kernels run with
     ``validate=False``; without one, the legacy path gathers
-    ``train.*[indices]`` per call and the kernels re-validate.  The two
-    paths are bitwise-identical — the store only changes *where* the
-    gather and the validation happen (once per run instead of once per
-    task per epoch).
+    ``train.*[indices]`` per call and the kernels re-validate.  Within
+    the numpy kernels the two paths are bitwise-identical — the store
+    only changes *where* the gather and the validation happen (once per
+    run instead of once per task per epoch); under ``"auto"`` the store
+    additionally unlocks the ``"native"`` kernel (within 1e-12).
     """
-    from ..sgd.kernels import resolve_kernel_name, sgd_block_minibatch, sgd_block_sequential
+    from ..sgd.kernels import sgd_block_minibatch, sgd_block_sequential
 
-    kernel_name = resolve_kernel_name(training.kernel, exact_kernel=exact_kernel)
-
+    kernel_name = effective_kernel_name(
+        training, exact_kernel=exact_kernel, block_major=store is not None
+    )
     if store is not None:
         apply_block_data(
             model.p, model.q, store.task_data(task), rate, training, kernel_name
         )
         return
 
-    if kernel_name == "minibatch_local" and training.kernel != "auto":
-        # "auto" degrades gracefully (that is its contract), but an
-        # explicitly forced local kernel without block-major data would
-        # silently run a different kernel than requested.
-        raise ConfigurationError(
-            'kernel="minibatch_local" requires the block-major data plane; '
-            'enable the block store or use kernel="minibatch" '
-            "(bitwise-identical)"
-        )
     indices = task.indices()
     if len(indices) == 0:
         return
     if kernel_name == "sequential":
-        kernel = sgd_block_sequential
-    else:
-        # Without block-major data the auto-selected local kernel has no
-        # band frame; the global mini-batch kernel is its
-        # bitwise-identical stand-in.
-        kernel = sgd_block_minibatch
-    if kernel_name == "sequential":
-        kernel(
+        sgd_block_sequential(
             model.p, model.q,
             train.rows[indices], train.cols[indices], train.vals[indices],
             rate, training.reg_p, training.reg_q,
         )
     else:
-        kernel(
+        sgd_block_minibatch(
             model.p, model.q,
             train.rows[indices], train.cols[indices], train.vals[indices],
             rate, training.reg_p, training.reg_q,
@@ -232,8 +247,9 @@ def apply_block_data(p, q, data, rate, training, kernel_name):
     (:func:`~repro.sgd.kernels.resolve_kernel_name`).
     """
     from ..sgd.kernels import (
+        BLOCK_MAJOR_KERNELS,
+        KERNELS,
         sgd_block_minibatch,
-        sgd_block_minibatch_local,
         sgd_block_sequential,
     )
 
@@ -244,8 +260,8 @@ def apply_block_data(p, q, data, rate, training, kernel_name):
             p, q, data.rows, data.cols, data.vals,
             rate, training.reg_p, training.reg_q, validate=False,
         )
-    elif kernel_name == "minibatch_local":
-        sgd_block_minibatch_local(
+    elif kernel_name in BLOCK_MAJOR_KERNELS:
+        KERNELS[kernel_name](
             p, q, data.local_rows, data.local_cols, data.vals,
             rate, training.reg_p, training.reg_q,
             data.row_range, data.col_range,
@@ -273,6 +289,17 @@ class Engine(ABC):
 
     #: Registry name of the backend (see :mod:`repro.exec.registry`).
     backend_name: str = ""
+
+    @property
+    def kernel_name(self) -> str:
+        """The concrete kernel this engine's tasks execute (``"auto"`` resolved).
+
+        Reads the ``training``, ``exact_kernel`` and ``_store`` attributes
+        the built-in engines share; an engine without them overrides this.
+        """
+        return effective_kernel_name(
+            self.training, self.exact_kernel, block_major=self._store is not None
+        )
 
     @abstractmethod
     def start(

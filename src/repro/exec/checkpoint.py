@@ -134,6 +134,7 @@ class TrainCheckpoint:
         meta = {
             "format": CHECKPOINT_FORMAT,
             "backend": session.backend_name,
+            "kernel": session.engine.kernel_name,
             "epoch": session.epoch,
             "n_rows": int(model.p.shape[0]),
             "n_cols": int(model.q.shape[1]),
@@ -203,6 +204,15 @@ class TrainCheckpoint:
         if grid_shape != list(self.meta.get("grid_shape", grid_shape)):
             mismatches.append(
                 f"grid {grid_shape} != {self.meta.get('grid_shape')}"
+            )
+        # Kernels differ in arithmetic ("native" vs the numpy pair in the
+        # last bits, "sequential" vs mini-batch by design): one run must
+        # not silently mix two.  Checkpoints older than the field pass.
+        kernel = session.engine.kernel_name
+        if self.meta.get("kernel", kernel) != kernel:
+            mismatches.append(
+                f"kernel {kernel!r} != checkpointed {self.meta['kernel']!r} "
+                f"(pass kernel={self.meta['kernel']!r} to continue that run)"
             )
         if mismatches:
             raise CheckpointError(

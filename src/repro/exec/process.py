@@ -398,6 +398,7 @@ class ProcessSession(EngineSession):
             trace=self._trace,
             converged=self._converged,
             stop_reason=self._stop_reason or STOP_ITERATIONS,
+            kernel_name=self._engine.kernel_name,
             worker_restarts=self._worker_restarts,
         )
         return self._result
@@ -457,8 +458,6 @@ class ProcessSession(EngineSession):
     # Launch / teardown
     # ------------------------------------------------------------------ #
     def _launch(self) -> None:
-        from ..sgd.kernels import resolve_kernel_name
-
         engine = self._engine
         self._launched = True
         if not self._restored:
@@ -474,9 +473,9 @@ class ProcessSession(EngineSession):
 
             self._ctx = multiprocessing.get_context(engine.start_method)
             self._done_queue = self._ctx.Queue()
-            self._kernel_name = resolve_kernel_name(
-                engine.training.kernel, exact_kernel=engine.exact_kernel
-            )
+            # Resolved (and, for "native", built) here in the parent, so
+            # the workers only dlopen the cached object.
+            self._kernel_name = engine.kernel_name
             self._fault_plan = faults.active_plan()
             for index in range(engine.n_workers):
                 self._spawn_worker(index)

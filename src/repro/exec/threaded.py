@@ -191,11 +191,14 @@ class ThreadedSession(EngineSession):
                 return self._reports.pop(0)
             if self._result is not None or self._stopping:
                 return None
-            if self._iteration >= self._max_iterations:
+            if self._iteration >= self._max_iterations and not self._boundary_busy:
                 # Only reachable on a restored session: a checkpoint taken
                 # at (or past) this run's epoch cap has nothing left to
                 # do.  A live run sets _stopping at the boundary that
-                # reaches the cap.
+                # reaches the cap — and while that boundary's owner is
+                # still evaluating RMSE (_iteration already advanced,
+                # _boundary_busy set) its report is yet to come and must
+                # not be pre-empted here.
                 self._stopping = True
                 if self._stop_reason is None:
                     self._stop_reason = STOP_ITERATIONS
@@ -254,6 +257,7 @@ class ThreadedSession(EngineSession):
             trace=self._trace,
             converged=self._converged,
             stop_reason=self._stop_reason or STOP_ITERATIONS,
+            kernel_name=self._engine.kernel_name,
         )
         return self._result
 

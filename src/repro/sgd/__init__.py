@@ -9,7 +9,10 @@ Implements the numerical core of the paper (Section II):
   reference kernel matching Algorithm 1, a vectorised mini-batch kernel
   over global indices, and the block-major ``minibatch_local`` kernel
   that consumes band-local pre-gathered data (bitwise-identical to the
-  global mini-batch kernel, selected by ``TrainingConfig(kernel=...)``);
+  global mini-batch kernel, selected by ``TrainingConfig(kernel=...)``),
+  and its compiled, GIL-releasing twin ``native`` (within 1e-12; built
+  and loaded lazily by :mod:`repro.sgd.native`, the ``"auto"`` choice
+  wherever a C compiler exists);
 * :mod:`repro.sgd.losses` — the regularised squared loss of Equation 2,
   RMSE and MAE;
 * :mod:`repro.sgd.schedules` — learning-rate schedules, including the
@@ -42,8 +45,10 @@ from .kernels import (
     resolve_kernel_name,
     sgd_block_minibatch,
     sgd_block_minibatch_local,
+    sgd_block_native,
     sgd_block_sequential,
 )
+from .native import native_status
 from .schedules import (
     ConstantSchedule,
     InverseTimeDecaySchedule,
@@ -71,7 +76,9 @@ __all__ = [
     "resolve_kernel_name",
     "sgd_block_minibatch",
     "sgd_block_minibatch_local",
+    "sgd_block_native",
     "sgd_block_sequential",
+    "native_status",
     "ConstantSchedule",
     "InverseTimeDecaySchedule",
     "LearningRateSchedule",

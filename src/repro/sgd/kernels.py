@@ -12,7 +12,7 @@ each rating ``(u, v, r)`` in the block,
 
 (Equations 4-6 / Algorithm 1 lines 4-6).
 
-Three kernels are provided, selectable by name through the registry
+Four kernels are provided, selectable by name through the registry
 (:data:`KERNELS`, :func:`get_kernel`, :func:`resolve_kernel_name`):
 
 * :func:`sgd_block_sequential` (``"sequential"``) — the exact per-rating
@@ -48,9 +48,25 @@ Three kernels are provided, selectable by name through the registry
   - gradient arrays are written into per-call scratch buffers instead of
     fresh temporaries on every batch.
 
+* :func:`sgd_block_native` (``"native"``) — ``minibatch_local`` with the
+  batching loop in ~100 lines of dependency-free C
+  (``_native/sgd_minibatch.c``, built and loaded lazily by
+  :mod:`repro.sgd.native`): the same batches, multiplicities and
+  divide-then-add order, several times faster, and called through
+  ``ctypes`` so the GIL is released for the whole block.  It is *not*
+  bitwise-identical to the numpy pair: every element-wise operation
+  matches bit for bit, but the dot product ``p_u . q_v`` is summed in one
+  fixed C order where ``np.einsum``'s order depends on the numpy build.
+  The contract is a max-abs factor difference of at most 1e-12 after
+  five epochs (observed ~1e-15), pinned by
+  ``tests/test_native_kernel.py``; it is deterministic, so every
+  cross-backend and resume pin holds bitwise under it.
+
 ``"auto"`` (the :class:`~repro.config.TrainingConfig` default) resolves
-to ``"minibatch_local"`` when block-major data is available and falls
-back to ``"minibatch"`` otherwise.
+to ``"native"`` when it loaded and to ``"minibatch_local"`` otherwise
+(no compiler, failed build or self-check) — in both cases only when
+block-major data is available; without it ``"auto"`` falls back to
+``"minibatch"``.
 
 All kernels update ``P`` and ``Q`` in place and return the number of
 ratings processed so callers can account work.  Validation of shapes,
@@ -68,6 +84,7 @@ import numpy as np
 
 from ..config import DEFAULT_BATCH_SIZE, KERNEL_NAMES
 from ..exceptions import ConfigurationError, InvalidMatrixError
+from .native import native_status, native_sweep
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",  # canonical home: repro.config (re-exported here)
@@ -76,6 +93,7 @@ __all__ = [
     "resolve_kernel_name",
     "sgd_block_minibatch",
     "sgd_block_minibatch_local",
+    "sgd_block_native",
     "sgd_block_sequential",
 ]
 
@@ -333,6 +351,40 @@ def _scatter_add_with_duplicates(
     np.add.at(band_flat, flat.reshape(-1), grad.reshape(-1))
 
 
+def _local_block_prologue(
+    p, q, local_rows, local_cols, vals, row_range, col_range, batch_size, rng, validate
+):
+    """Shared front half of the band-local kernels (numpy and native).
+
+    Coerces the index/value arrays, validates on request, rejects a
+    non-positive ``batch_size``, applies the optional ``rng`` shuffle and
+    slices the two bands.  Returns ``(local_rows, local_cols, vals,
+    p_band, q_band_t)``; an empty block comes back with empty arrays and
+    the caller returns 0 without touching the factors.
+    """
+    local_rows = _as_kernel_array(local_rows, np.int64)
+    local_cols = _as_kernel_array(local_cols, np.int64)
+    vals = _as_kernel_array(vals, np.float64)
+    if validate:
+        _check_local_kernel_inputs(
+            p, q, local_rows, local_cols, vals, row_range, col_range
+        )
+    if batch_size <= 0:
+        raise InvalidMatrixError(f"batch_size must be positive, got {batch_size}")
+    if rng is not None and len(vals) > 0:
+        order = rng.permutation(len(vals))
+        local_rows = local_rows[order]
+        local_cols = local_cols[order]
+        vals = vals[order]
+    r0, r1 = row_range
+    c0, c1 = col_range
+    # ``q.T[c0:c1]`` is the same memory as ``q[:, c0:c1].T``; when Q is
+    # stored item-major (``FactorModel`` keeps the transpose contiguous)
+    # this band is C-contiguous and both the gather and the scatter run
+    # on contiguous rows.
+    return local_rows, local_cols, vals, p[r0:r1], q.T[c0:c1]
+
+
 def sgd_block_minibatch_local(
     p: np.ndarray,
     q: np.ndarray,
@@ -378,39 +430,27 @@ def sgd_block_minibatch_local(
     int
         Number of ratings processed.
     """
-    local_rows = _as_kernel_array(local_rows, np.int64)
-    local_cols = _as_kernel_array(local_cols, np.int64)
-    vals = _as_kernel_array(vals, np.float64)
-    if validate:
-        _check_local_kernel_inputs(
-            p, q, local_rows, local_cols, vals, row_range, col_range
-        )
-    if batch_size <= 0:
-        raise InvalidMatrixError(f"batch_size must be positive, got {batch_size}")
-
+    local_rows, local_cols, vals, p_band, q_band_t = _local_block_prologue(
+        p, q, local_rows, local_cols, vals, row_range, col_range, batch_size, rng, validate
+    )
     count = len(vals)
     if count == 0:
         return 0
+    return _minibatch_local_sweep(
+        p_band, q_band_t, local_rows, local_cols, vals,
+        float(learning_rate), reg_p, reg_q, batch_size,
+    )
 
-    gamma = float(learning_rate)
-    if rng is not None:
-        order = rng.permutation(count)
-        local_rows = local_rows[order]
-        local_cols = local_cols[order]
-        vals = vals[order]
 
-    r0, r1 = row_range
-    c0, c1 = col_range
-    p_band = p[r0:r1]
-    # ``q.T[c0:c1]`` is the same memory as ``q[:, c0:c1].T``; when Q is
-    # stored item-major (``FactorModel`` keeps the transpose contiguous)
-    # this band is C-contiguous and both the gather and the scatter run
-    # on contiguous rows.
-    q_band_t = q.T[c0:c1]
+def _minibatch_local_sweep(
+    p_band, q_band_t, local_rows, local_cols, vals, gamma, reg_p, reg_q, batch_size
+) -> int:
+    """The numpy batching loop of ``minibatch_local`` over prepared bands."""
+    count = len(vals)
     p_flat = _flat_band_view(p_band)
     q_flat = _flat_band_view(q_band_t)
 
-    k = p.shape[1]
+    k = p_band.shape[1]
     cap = min(batch_size, count)
     grad_p = np.empty((cap, k), dtype=np.float64)
     grad_q = np.empty((cap, k), dtype=np.float64)
@@ -479,15 +519,64 @@ def sgd_block_minibatch_local(
     return count
 
 
+def sgd_block_native(
+    p: np.ndarray,
+    q: np.ndarray,
+    local_rows: np.ndarray,
+    local_cols: np.ndarray,
+    vals: np.ndarray,
+    learning_rate: float,
+    reg_p: float,
+    reg_q: float,
+    row_range: Tuple[int, int],
+    col_range: Tuple[int, int],
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    rng: Optional[np.random.Generator] = None,
+    validate: bool = True,
+) -> int:
+    """:func:`sgd_block_minibatch_local` with the batching loop in compiled C.
+
+    Same signature, same batches, same per-element arithmetic; only the
+    summation order of the dot product ``p_u . q_v`` differs (fixed in C,
+    build-dependent in ``np.einsum``), so the factors agree with the
+    numpy kernel to ~1e-15 per sweep rather than bit for bit (see the
+    module docstring).  The C routine runs without the GIL.
+
+    Bands the C routine cannot take — non-contiguous, or not float64 —
+    run through the numpy loop instead, per call.  Raises
+    :class:`~repro.exceptions.ConfigurationError` when the native kernel
+    is unavailable (:func:`repro.sgd.native.native_status` says why).
+    """
+    local_rows, local_cols, vals, p_band, q_band_t = _local_block_prologue(
+        p, q, local_rows, local_cols, vals, row_range, col_range, batch_size, rng, validate
+    )
+    count = len(vals)
+    if count == 0:
+        return 0
+    sweep = native_sweep
+    for band in (p_band, q_band_t):
+        if band.dtype != np.float64 or not band.flags.c_contiguous:
+            sweep = _minibatch_local_sweep
+    sweep(
+        p_band, q_band_t, local_rows, local_cols, vals,
+        float(learning_rate), float(reg_p), float(reg_q), batch_size,
+    )
+    return count
+
+
 #: The kernel registry: name -> callable.  ``"sequential"`` and
-#: ``"minibatch"`` take global COO arrays; ``"minibatch_local"``
-#: additionally takes band-local indices and the band ranges (the calling
+#: ``"minibatch"`` take global COO arrays; ``"minibatch_local"`` and
+#: ``"native"`` take band-local indices and the band ranges (the calling
 #: convention the engines satisfy through :class:`repro.sparse.BlockStore`).
 KERNELS = {
     "sequential": sgd_block_sequential,
     "minibatch": sgd_block_minibatch,
     "minibatch_local": sgd_block_minibatch_local,
+    "native": sgd_block_native,
 }
+
+#: Kernels that need the block-major data plane (band-local indices).
+BLOCK_MAJOR_KERNELS = ("minibatch_local", "native")
 
 if set(KERNELS) | {"auto"} != set(KERNEL_NAMES):  # pragma: no cover
     raise ImportError(
@@ -514,14 +603,21 @@ def resolve_kernel_name(name: str, exact_kernel: bool = False) -> str:
     """Resolve a configured kernel name to a concrete registry entry.
 
     ``exact_kernel=True`` (the engines' validation switch) forces the
-    sequential reference kernel regardless of configuration; ``"auto"``
+    sequential reference kernel regardless of configuration.  ``"auto"``
     selects the active :class:`repro.tune.TunedProfile`'s calibrated
-    kernel when a profile is loaded (safe: every selectable mini-batch
-    kernel is bitwise-identical to the others, so the profile can only
-    change speed, never results) and defaults to the block-major local
-    kernel otherwise, which the engines feed through pre-validated
-    :class:`~repro.sparse.BlockStore` data (callers without block-major
-    data fall back to ``"minibatch"``, which is bitwise-identical).
+    kernel when a profile is loaded and ``"native"`` otherwise — each
+    demoted to ``"minibatch_local"`` on a machine where the native kernel
+    does not load (no compiler, failed build; see
+    :func:`repro.sgd.native.native_status`), which is the pre-native
+    default bit for bit.  Both are block-major kernels: the engines feed
+    them pre-validated :class:`~repro.sparse.BlockStore` data, and callers
+    without block-major data fall back to ``"minibatch"``
+    (bitwise-identical to ``"minibatch_local"``).
+
+    An explicit ``"native"`` that cannot be honoured raises
+    :class:`~repro.exceptions.ConfigurationError` carrying the reason.
+    The availability check is computed once per process, so resolving
+    per task stays O(1).
     """
     if exact_kernel:
         return "sequential"
@@ -530,12 +626,16 @@ def resolve_kernel_name(name: str, exact_kernel: bool = False) -> str:
         # stay importable without the sgd package.
         from ..tune.profile import profile_kernel
 
-        tuned = profile_kernel()
-        if tuned is not None:
-            return tuned
-        return "minibatch_local"
+        choice = profile_kernel() or "native"
+        if choice == "native" and not native_status()[0]:
+            return "minibatch_local"
+        return choice
     if name not in KERNELS:
         raise ConfigurationError(
             f"kernel must be one of {KERNEL_NAMES}, got {name!r}"
         )
+    if name == "native":
+        available, reason = native_status()
+        if not available:
+            raise ConfigurationError(f'kernel="native" is unavailable: {reason}')
     return name

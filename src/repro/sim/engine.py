@@ -201,6 +201,7 @@ class SimulationSession(EngineSession):
             trace=self._trace,
             converged=self._converged,
             stop_reason=self._stop_reason,
+            kernel_name=self._engine.kernel_name,
         )
         return self._result
 

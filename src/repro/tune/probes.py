@@ -21,8 +21,8 @@ Five probe sections, one per tunable family:
     Wall-clock :func:`~repro.sgd.kernels.sgd_block_minibatch` sweeps per
     mini-batch candidate over geometric data prefixes; a linear CPU cost
     model is fitted on all but the largest prefix and judged on the
-    largest.  Also times the (bitwise-identical) ``minibatch`` vs
-    ``minibatch_local`` kernels to pin the faster one.
+    largest.  Also times the ``minibatch``, ``minibatch_local`` and —
+    where it loads — ``native`` kernels to pin the fastest one.
 ``backend``
     Small end-to-end :func:`~repro.core.factorize` runs per execution
     backend and worker count.  The "prediction" is the naive linear
@@ -80,7 +80,13 @@ from ..serve.bench import measure_chunked, synthetic_model
 from ..serve.scorer import DEFAULT_CHUNK_ITEMS
 from ..serve.service import DEFAULT_SERVICE_BATCH
 from ..sgd.foldin import _GRAM_CHUNK_ELEMENTS
-from ..sgd.kernels import sgd_block_minibatch, sgd_block_minibatch_local
+from ..sgd.kernels import (
+    resolve_kernel_name,
+    sgd_block_minibatch,
+    sgd_block_minibatch_local,
+    sgd_block_native,
+)
+from ..sgd.native import native_status
 from .profile import (
     PROFILE_SCHEMA_VERSION,
     ServingTunables,
@@ -289,34 +295,28 @@ def probe_train_kernel(
     if full_measured[DEFAULT_BATCH_SIZE] < full_measured[chosen]:
         chosen = DEFAULT_BATCH_SIZE
 
-    # Kernel pin: the mini-batch pair is bitwise-identical, so timing is
-    # the only thing at stake.  No prediction — report the measurement.
+    # Kernel pin: the numpy pair is bitwise-identical and the native
+    # kernel agrees with it to 1e-12, so timing is what is at stake.  No
+    # prediction — report the measurement.  Q is laid out item-major, as
+    # FactorModel feeds every engine (the band-local kernels' fast path).
     rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
-    kernel_times = {}
+    q0_item_major = np.ascontiguousarray(q0.T)
 
-    def time_kernel(fn, *args, **kwargs) -> float:
+    def time_kernel(fn, **kwargs) -> float:
         def one() -> float:
-            p, q = p0.copy(), q0.copy()
+            p, q = p0.copy(), q0_item_major.copy().T
             start = time.perf_counter()
-            fn(p, q, *args, batch_size=chosen, **kwargs)
+            fn(p, q, rows, cols, vals, 0.005, 0.02, 0.02, batch_size=chosen, **kwargs)
             return time.perf_counter() - start
 
         return _best_of(one, repeats)
 
-    kernel_times["minibatch"] = time_kernel(
-        sgd_block_minibatch, rows, cols, vals, 0.005, 0.02, 0.02
-    )
-    kernel_times["minibatch_local"] = time_kernel(
-        sgd_block_minibatch_local,
-        rows,
-        cols,
-        vals,
-        0.005,
-        0.02,
-        0.02,
-        row_range=(0, m),
-        col_range=(0, n),
-    )
+    kernel_times = {"minibatch": time_kernel(sgd_block_minibatch)}
+    band_local = {"minibatch_local": sgd_block_minibatch_local}
+    if native_status()[0]:
+        band_local["native"] = sgd_block_native
+    for name, fn in band_local.items():
+        kernel_times[name] = time_kernel(fn, row_range=(0, m), col_range=(0, n))
     kernel = min(kernel_times, key=kernel_times.get)
     for name, seconds in sorted(kernel_times.items()):
         probes.append(
@@ -553,12 +553,14 @@ def probe_foldin(
 # --------------------------------------------------------------------------- #
 def _default_knobs() -> Dict[str, Any]:
     """The hand-picked values every knob falls back to without a profile."""
+    with use_profile(None):
+        kernel = resolve_kernel_name("auto")
     return {
         "training": {
             "backend": "threads",
             "workers": 1,
             "batch_size": DEFAULT_BATCH_SIZE,
-            "kernel": "minibatch_local",
+            "kernel": kernel,
         },
         "serving": {
             "chunk_items": DEFAULT_CHUNK_ITEMS,

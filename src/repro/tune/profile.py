@@ -24,7 +24,11 @@ stream gram chunk            :func:`repro.sgd.foldin.solve_fold_in`
 every case (``DEFAULT_BATCH_SIZE``, ``DEFAULT_CHUNK_ITEMS``, the
 ``workers > 1`` backend heuristic, the fold-in gram-chunk constant), so
 code that never loads a profile behaves bitwise-identically to the
-pre-autotuning library — pinned by ``tests/test_tune.py``.
+pre-autotuning library — pinned by ``tests/test_tune.py``.  A loaded
+profile changes speed; it changes results only through the training
+kernel, and there only across the numpy/native line (within 1e-12) —
+the serving and fold-in knobs are tiling choices with no numerical
+effect.
 
 The profile is process-global state (one machine, one profile), set
 with :func:`set_active_profile` and scoped in tests with
@@ -52,11 +56,17 @@ PROFILE_SCHEMA_VERSION = 1
 #: :mod:`repro.config`, the import-cycle-free home).
 AUTO = AUTO_TUNABLE
 
-#: Kernels a profile may pin for ``kernel="auto"``: only the mini-batch
-#: pair, which are bitwise-identical to each other — so a profile can
-#: change training *speed* but never training *results*.  The
-#: ``"sequential"`` reference kernel is a numerical contract, not a
-#: performance choice, and stays reachable only by explicit request.
+#: Kernels a profile may pin for ``kernel="auto"``: the mini-batch
+#: family.  The numpy pair is bitwise-identical and ``"native"`` agrees
+#: with it to 1e-12 (same batches, same update order; only the dot
+#: product's summation order differs), so a profile changes training
+#: *speed* and, across the numpy/native line, results in the last bits
+#: only.  A profile naming ``"native"`` on a machine where it does not
+#: load demotes to ``"minibatch_local"``
+#: (:func:`repro.sgd.kernels.resolve_kernel_name`), like an illegal
+#: ``"processes"`` pick demotes to ``"threads"``.  The ``"sequential"``
+#: reference kernel is a numerical contract, not a performance choice,
+#: and stays reachable only by explicit request.
 _CONCRETE_KERNELS = tuple(
     name for name in KERNEL_NAMES if name not in (AUTO, "sequential")
 )
@@ -73,13 +83,15 @@ class TrainingTunables:
     """Resolved training-side knobs.
 
     Defaults mirror the library's hand-picked values so a
-    default-constructed profile is behaviour-neutral.
+    default-constructed profile is behaviour-neutral (``"native"``
+    demotes to ``"minibatch_local"`` where it does not load, exactly as
+    the no-profile ``"auto"`` does).
     """
 
     backend: str = "threads"
     workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
-    kernel: str = "minibatch_local"
+    kernel: str = "native"
 
     def __post_init__(self) -> None:
         if not self.backend or not isinstance(self.backend, str) or self.backend == AUTO:
@@ -377,8 +389,8 @@ def profile_kernel(profile=_UNSET) -> Optional[str]:
     """The profile's concrete kernel for ``kernel="auto"``, else ``None``.
 
     ``None`` tells :func:`repro.sgd.kernels.resolve_kernel_name` to use
-    its built-in default (``"minibatch_local"``) — the pinned no-profile
-    behaviour.
+    its built-in default (``"native"`` where it loads, else
+    ``"minibatch_local"``) — the pinned no-profile behaviour.
     """
     resolved = _effective(profile)
     if resolved is not None:

@@ -17,6 +17,20 @@ from repro.hardware import HeterogeneousPlatform, paper_machine_preset
 from repro.sparse import SparseRatingMatrix
 
 
+@pytest.fixture
+def no_native_kernel(monkeypatch):
+    """Force the no-compiler fallback: ``"auto"`` resolves to ``"minibatch_local"``.
+
+    What a machine without a C compiler sees — the pre-native default,
+    under which every bitwise ``auto`` == ``minibatch`` pin must still hold.
+    """
+    from repro.sgd import native
+
+    reason = "disabled by the no_native_kernel test fixture"
+    monkeypatch.setattr(native, "_state", (None, reason))
+    return reason
+
+
 @pytest.fixture(scope="session")
 def tiny_matrix() -> SparseRatingMatrix:
     """A 6x5 hand-written rating matrix used by exact-value tests."""
