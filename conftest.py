@@ -15,22 +15,3 @@ _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-
-def pytest_configure(config):
-    """Register project markers (no pytest.ini / pyproject table exists)."""
-    config.addinivalue_line(
-        "markers",
-        "slow: long-running stress tests (threaded-backend training on "
-        'Netflix-sized data); deselect with -m "not slow"',
-    )
-    config.addinivalue_line(
-        "markers",
-        "examples: end-to-end smoke runs of the examples/ scripts on tiny "
-        "synthetic data (their own CI job); deselect with "
-        '-m "not examples"',
-    )
-    config.addinivalue_line(
-        "markers",
-        "chaos: fault-injection tests (worker kills, torn publishes, "
-        "orphaned shm segments); run alone with -m chaos",
-    )

@@ -3,11 +3,17 @@
 This package defines the execution API every backend implements and the
 machinery built on top of it:
 
-* :mod:`repro.exec.base` — the :class:`Engine` interface (``start()`` /
-  ``run()``) and the backend-agnostic :class:`EngineResult`;
+* :mod:`repro.exec.base` — the :class:`Engine` base (``start()`` /
+  ``run()``, the run inputs and validation every backend shares) and
+  the backend-agnostic :class:`EngineResult`;
 * :mod:`repro.exec.session` — the stepwise session protocol
-  (:class:`EngineSession`, :class:`EpochReport`): one ``step()`` per
-  epoch, observable and stoppable between steps;
+  (:class:`EpochReport`: one ``step()`` per epoch, observable and
+  stoppable between steps) and its single implementation, the session
+  core :class:`EngineSession` — epoch ledger, completion booking,
+  boundaries, stop reasons, checkpoint state — under which each backend
+  is a thin executor;
+* :mod:`repro.exec.trace` — the execution trace every backend records
+  (also importable from :mod:`repro.sim`, its historical home);
 * :mod:`repro.exec.callbacks` — epoch-boundary callbacks
   (:class:`EarlyStopping`, :class:`Checkpoint`, :class:`JsonlLogger`,
   :class:`TimeBudget`);

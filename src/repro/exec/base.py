@@ -1,17 +1,20 @@
 """The engine protocol shared by every execution backend.
 
 An *engine* takes a scheduler's decisions and turns them into actual SGD
-updates on the shared factor matrices.  The library ships two engines:
+updates on the shared factor matrices.  The library ships three engines:
 
 * :class:`repro.sim.SimulationEngine` — the discrete-event simulator that
   advances a virtual clock with cost-model task durations (the backend
   behind every paper figure, usable without real parallel hardware);
 * :class:`repro.exec.ThreadedEngine` — genuinely concurrent CPU worker
   threads driving the same scheduler over the same shared numpy factor
-  matrices.
+  matrices;
+* :class:`repro.exec.ProcessEngine` — the same execution model with
+  worker processes over shared-memory factors.
 
-Both implement :class:`Engine` and produce an
-:class:`~repro.sim.trace.ExecutionTrace`, so everything downstream of a
+All implement :class:`Engine` (which also holds the run inputs and the
+validation they share) and produce an
+:class:`~repro.exec.trace.ExecutionTrace`, so everything downstream of a
 run — RMSE curves, worker statistics, workload shares, steal counts — is
 backend-agnostic.  Which backend a run uses is selected with the
 ``backend`` option of :class:`~repro.config.TrainingConfig` /
@@ -20,18 +23,22 @@ backend-agnostic.  Which backend a run uses is selected with the
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from ..config import BACKENDS  # noqa: F401  (re-exported; validated there)
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, ExecutionError
+from ..sgd import FactorModel
+from ..sgd.schedules import ConstantSchedule, LearningRateSchedule
+from ..sparse import BlockStore, SparseRatingMatrix
 from .session import EngineSession, run_session
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.sim
-    from ..sgd import FactorModel
-    from ..sim.trace import ExecutionTrace
+    from ..core.schedulers import Scheduler
+    from ..core.tasks import Task
+    from ..hardware import HeterogeneousPlatform
+    from .trace import ExecutionTrace
 
 
 @dataclass
@@ -76,24 +83,6 @@ class EngineResult:
         return self.trace.final_time
 
     @property
-    def simulated_time(self) -> float:
-        """Deprecated alias of :attr:`engine_time`.
-
-        .. deprecated:: 1.1
-           The name predates the real-execution backends, whose time base
-           is wall-clock rather than simulated seconds.  Use
-           :attr:`engine_time`; this alias warns and will be removed.
-        """
-        warnings.warn(
-            "EngineResult.simulated_time is deprecated (the threaded and "
-            "process backends measure wall-clock, not simulated, seconds); "
-            "use engine_time",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.engine_time
-
-    @property
     def final_test_rmse(self) -> Optional[float]:
         """Test RMSE after the last completed iteration."""
         if not self.trace.iterations:
@@ -130,38 +119,6 @@ class WallClockResult(EngineResult):
         if self.trace.final_time <= 0:
             return 0.0
         return self.trace.total_points() / self.trace.final_time
-
-
-#: Iteration cap applied when a run is bounded only by ``target_rmse``
-#: (or a time budget): far past any convergent training, it bounds the
-#: damage of a diverging run that can never reach its target.
-MAX_UNBOUNDED_ITERATIONS = 10_000
-
-
-def resolve_stopping_conditions(
-    iterations: Optional[int],
-    target_rmse: Optional[float],
-    max_simulated_time: Optional[float],
-    default_iterations: int,
-    has_test: bool,
-    error: type,
-) -> int:
-    """Shared ``run()`` preamble of every backend.
-
-    Validates that target-RMSE stopping has a test set to evaluate,
-    applies the default iteration count when no stopping condition was
-    given at all, and derives the effective iteration cap.  Keeping this
-    in one place is what keeps the backends' stopping semantics — and
-    hence the 1-worker sim-parity guarantee — in lockstep.
-
-    Returns the iteration cap of the run; raises ``error`` on an invalid
-    combination.
-    """
-    if target_rmse is not None and not has_test:
-        raise error("target_rmse stopping requires a test set")
-    if iterations is None and target_rmse is None and max_simulated_time is None:
-        iterations = default_iterations
-    return iterations if iterations is not None else MAX_UNBOUNDED_ITERATIONS
 
 
 def effective_kernel_name(training, exact_kernel=False, block_major=True) -> str:
@@ -276,30 +233,134 @@ def apply_block_data(p, q, data, rate, training, kernel_name):
 
 
 class Engine(ABC):
-    """Common interface of the execution backends.
+    """Common interface — and common state — of the execution backends.
 
     Engines are single-use: construct one per run with the scheduler,
     data and hyper-parameters, then either call :meth:`run` once or
     drive the run epoch by epoch through :meth:`start` (the stepwise
-    session protocol of :mod:`repro.exec.session`).  Concrete engines
-    expose at least ``scheduler`` and ``model`` attributes so callers
-    can inspect the grid state and the trained factors, plus a
-    ``backend_name`` matching their registry name.
+    session protocol of :mod:`repro.exec.session`).  Every engine exposes
+    ``scheduler`` and ``model`` attributes so callers can inspect the
+    grid state and the trained factors, plus a ``backend_name`` matching
+    its registry name.
+
+    Parameters
+    ----------
+    scheduler:
+        The block scheduler to execute; the real backends create one
+        worker (thread or process) per scheduler worker.
+    train:
+        Training ratings.
+    training:
+        Hyper-parameters (``k``, ``gamma``, ``lambda``, batch size).
+    test:
+        Optional held-out ratings; needed for RMSE-vs-time curves and
+        time-to-target stopping.
+    model:
+        Optional pre-initialised factor model (a fresh one is created
+        otherwise).
+    schedule:
+        Learning-rate schedule; constant by default.
+    platform:
+        The simulated machine.  The simulator prices task durations with
+        it; the real backends only consult it for ``gpu_latency_scale``.
+        When given, its worker order and count must match the
+        scheduler's (CPU threads first, then GPUs).
+    exact_kernel:
+        Use the exact per-rating kernel (slow; for small validation runs).
+    compute_train_rmse:
+        Also record training RMSE at iteration boundaries.
+    gpu_latency_scale:
+        When positive (requires ``platform``), each GPU worker of a real
+        backend sleeps for this fraction of its task's *simulated* device
+        time after the numerical work, emulating device latency against
+        real CPU workers.  Zero (the default) disables the emulation.
+    use_block_store:
+        Feed the kernels through the block-major data plane
+        (:class:`~repro.sparse.BlockStore`: per-block contiguous,
+        band-local, validated-once arrays).  Disabling it restores the
+        legacy gather-per-task path — bitwise-identical, only slower —
+        which exists for benchmarking the data plane against its
+        predecessor.
     """
 
     #: Registry name of the backend (see :mod:`repro.exec.registry`).
     backend_name: str = ""
+    #: What this backend raises for an invalid run or configuration.
+    error_class: type = ExecutionError
+    #: The :class:`EngineResult` subclass a finished session returns.
+    result_class: type = EngineResult
+    #: The executor (:class:`EngineSession` subclass) :meth:`start` opens.
+    session_class: type = EngineSession
+
+    def __init__(
+        self,
+        scheduler: "Scheduler",
+        train: SparseRatingMatrix,
+        training,
+        test: Optional[SparseRatingMatrix] = None,
+        model: Optional[FactorModel] = None,
+        schedule: Optional[LearningRateSchedule] = None,
+        platform: Optional["HeterogeneousPlatform"] = None,
+        exact_kernel: bool = False,
+        compute_train_rmse: bool = False,
+        gpu_latency_scale: float = 0.0,
+        use_block_store: bool = True,
+    ) -> None:
+        if platform is not None and platform.n_workers != scheduler.n_workers:
+            raise self.error_class(
+                f"platform has {platform.n_workers} workers but the scheduler "
+                f"expects {scheduler.n_workers}"
+            )
+        if gpu_latency_scale < 0:
+            raise self.error_class(
+                f"gpu_latency_scale must be >= 0, got {gpu_latency_scale}"
+            )
+        if gpu_latency_scale > 0 and platform is None:
+            raise self.error_class("gpu_latency_scale needs a platform for timing")
+        self.scheduler = scheduler
+        self.train = train
+        self.test = test
+        self.training = training
+        self.model = model or FactorModel.for_matrix(train, training)
+        self.schedule = schedule or ConstantSchedule(training.learning_rate)
+        self.platform = platform
+        self.exact_kernel = exact_kernel
+        self.compute_train_rmse = compute_train_rmse
+        self.gpu_latency_scale = gpu_latency_scale
+        self.n_workers = scheduler.n_workers
+        # Shared, immutable after materialisation; worker threads read it
+        # concurrently without locking (see BlockStore's thread-safety note).
+        self._store = BlockStore(train) if use_block_store else None
+        self._started = False
 
     @property
     def kernel_name(self) -> str:
-        """The concrete kernel this engine's tasks execute (``"auto"`` resolved).
-
-        Reads the ``training``, ``exact_kernel`` and ``_store`` attributes
-        the built-in engines share; an engine without them overrides this.
-        """
+        """The concrete kernel this engine's tasks execute (``"auto"`` resolved)."""
         return effective_kernel_name(
             self.training, self.exact_kernel, block_major=self._store is not None
         )
+
+    def _gpu_sleep_seconds(self, worker_index: int, task: "Task") -> float:
+        """Latency-emulation sleep for a GPU worker's task (0 for CPUs)."""
+        if (
+            self.gpu_latency_scale <= 0
+            or self.platform is None
+            or not self.scheduler.is_gpu_worker(worker_index)
+        ):
+            return 0.0
+        device = self.platform.all_devices[task.worker_index]
+        work = task.block_work(self.training.latent_factors)
+        return device.process_time(work) * self.gpu_latency_scale
+
+    def _open_session(self, **stopping) -> EngineSession:
+        """The single-use guard behind every :meth:`start`."""
+        if self._started:
+            raise self.error_class(
+                f"a {type(self).__name__} can only be run once: its model and "
+                "scheduler state are mutated by the run"
+            )
+        self._started = True
+        return self.session_class(self, **stopping)
 
     @abstractmethod
     def start(
@@ -318,9 +379,9 @@ class Engine(ABC):
             (defaults to ``training.iterations`` when neither a target
             RMSE nor a time budget is given).  Runs bounded only by a
             target RMSE or a time budget are additionally capped at
-            :data:`MAX_UNBOUNDED_ITERATIONS` epochs.  When resuming from
-            a checkpoint this is the *total* epoch cap, checkpointed
-            epochs included.
+            :data:`~repro.exec.session.MAX_UNBOUNDED_ITERATIONS` epochs.
+            When resuming from a checkpoint this is the *total* epoch
+            cap, checkpointed epochs included.
         target_rmse:
             Stop as soon as the test RMSE at an iteration boundary is at
             or below this value (requires a test set).

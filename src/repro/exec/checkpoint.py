@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from ..exceptions import CheckpointError
+from .trace import IterationRecord, TaskRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import EngineSession
@@ -95,8 +96,6 @@ def _trace_to_state(trace) -> dict:
 
 def _restore_trace(trace, state: dict) -> None:
     """Fill an existing ExecutionTrace with a serialized prefix."""
-    from ..sim.trace import IterationRecord, TaskRecord
-
     trace.tasks = [TaskRecord(**record) for record in state["tasks"]]
     trace.iterations = [IterationRecord(**record) for record in state["iterations"]]
     trace.final_time = state["final_time"]

@@ -69,28 +69,16 @@ import numpy as np
 
 from .. import faults
 from ..config import TrainingConfig
-from ..exceptions import CheckpointError, ExecutionError
+from ..exceptions import ExecutionError
 from ..hardware import HeterogeneousPlatform
-from ..sgd import FactorModel, rmse
-from ..sgd.schedules import ConstantSchedule, LearningRateSchedule
+from ..sgd import FactorModel
+from ..sgd.schedules import LearningRateSchedule
 from ..shm import SharedSegment
-from ..sparse import BlockStore, SharedBlockStore, SparseRatingMatrix
+from ..sparse import SharedBlockStore, SparseRatingMatrix
 from ..core.schedulers import Scheduler
 from ..core.tasks import Task
-from ..sim.trace import ExecutionTrace, IterationRecord, TaskRecord
-from .base import (
-    Engine,
-    WallClockResult,
-    apply_block_data,
-    resolve_stopping_conditions,
-)
-from .session import (
-    STOP_ITERATIONS,
-    STOP_TARGET_RMSE,
-    STOP_TIME_BUDGET,
-    EngineSession,
-    EpochReport,
-)
+from .base import Engine, WallClockResult, apply_block_data
+from .session import EngineSession, EpochReport
 from .threaded import IDLE_POLL_SECONDS
 
 #: Seconds ``finish()`` waits for a worker to exit after its shutdown
@@ -239,59 +227,20 @@ class ProcessResult(WallClockResult):
 class ProcessSession(EngineSession):
     """One multiprocess run, driven by the controller's completion pump.
 
-    Unlike :class:`~repro.exec.threaded.ThreadedSession` there is no
-    shared mutable state to lock: the scheduler, the trace and all
-    accounting live in the controller, and workers communicate only
+    The executor half of the session.  Unlike
+    :class:`~repro.exec.threaded.ThreadedSession` there is no shared
+    mutable state to lock: the scheduler, the trace and the core's whole
+    epoch ledger live in the controller, and workers communicate only
     through queues.  ``step()`` dispatches to free workers and consumes
     completions until an epoch boundary report is produced.
     """
 
-    def __init__(
-        self,
-        engine: "ProcessEngine",
-        iterations: Optional[int] = None,
-        target_rmse: Optional[float] = None,
-        max_simulated_time: Optional[float] = None,
-        pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
-    ) -> None:
-        self._engine = engine
-        self._max_iterations = resolve_stopping_conditions(
-            iterations,
-            target_rmse,
-            max_simulated_time,
-            default_iterations=engine.training.iterations,
-            has_test=engine.test is not None,
-            error=ExecutionError,
-        )
-        self._target_rmse = target_rmse
-        self._max_time = max_simulated_time
-        self._pause_on_epoch = pause_on_epoch
-
-        self._total_points = engine.scheduler.total_points
-        if self._total_points <= 0:
-            raise ExecutionError("the scheduler's grid contains no ratings")
-
-        self._trace = ExecutionTrace(target_rmse=target_rmse)
-        self._launched = False
-        self._restored = False
-        self._paused = False
-        self._stopping = False
-        self._converged = False
-        self._stop_reason: Optional[str] = None
-        self._error: Optional[BaseException] = None
-        self._result: Optional[ProcessResult] = None
+    def __init__(self, engine: "ProcessEngine", **stopping) -> None:
+        super().__init__(engine, **stopping)
         self._in_flight: Dict[int, Task] = {}
-        self._points_completed = 0
-        self._iteration = 0
-        self._iteration_target = self._total_points
-        self._deadline: Optional[float] = None
         self._clock_start = 0.0
-        self._last_event = 0.0
-        self._time_offset = 0.0
-        self._reports: List[EpochReport] = []
 
         # Fault tolerance (see "Supervision and recovery" below).
-        self._worker_restarts = 0
         self._dispatch_counts = [0] * engine.n_workers
         self._recovering = False
         self._fault_plan = None
@@ -313,71 +262,18 @@ class ProcessSession(EngineSession):
         self._torn_down = False
 
     # ------------------------------------------------------------------ #
-    # Protocol surface
+    # Executor hooks
     # ------------------------------------------------------------------ #
-    @property
-    def engine(self) -> "ProcessEngine":
-        return self._engine
-
-    @property
-    def epoch(self) -> int:
-        return self._iteration
-
-    @property
-    def done(self) -> bool:
-        if self._result is not None:
-            return True
-        if self._reports:
-            return False
-        return self._stopping or self._error is not None
-
-    @property
-    def trace(self) -> ExecutionTrace:
-        return self._trace
-
-    @property
-    def backend_name(self) -> str:
-        return "processes"
-
-    @property
-    def started(self) -> bool:
-        return self._launched
-
-    def stop(self, reason: str = "callback") -> None:
-        if not self._stopping:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = reason
-        self._paused = False
-
-    def step(self) -> Optional[EpochReport]:
-        if self._reports:
-            return self._reports.pop(0)
-        if self._result is not None or self._stopping or self._error is not None:
-            return None
-        if self._iteration >= self._max_iterations:
-            # Only reachable on a restored session: a checkpoint taken at
-            # (or past) this run's epoch cap has nothing left to do.
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_ITERATIONS
-            return None
-        if not self._launched:
+    def _advance(self) -> Optional[EpochReport]:
+        if not self._started:
             self._launch()
         self._paused = False
         return self._pump_until_report()
 
-    def finish(self) -> ProcessResult:
-        if self._result is not None:
-            return self._result
-        if not self._stopping:
-            self._stopping = True
-            if self._stop_reason is None:
-                # finish() before any stopping condition fired: the
-                # caller is abandoning the run.
-                self._stop_reason = "aborted"
-        self._paused = False
-        if self._launched:
+    def _release(self) -> None:
+        # The single cleanup point: whatever the drain does, the pool is
+        # shut down and every segment unlinked.
+        if self._started:
             try:
                 if self._error is None:
                     self._drain_in_flight()
@@ -385,81 +281,20 @@ class ProcessSession(EngineSession):
                 self._shutdown_workers()
                 self._teardown_shared()
 
-        if self._error is not None:
-            if isinstance(self._error, ExecutionError):
-                raise self._error
-            raise ExecutionError(  # pragma: no cover - non-Execution errors
-                f"a worker process failed: {self._error!r}"
-            ) from self._error
-
-        self._trace.final_time = self._last_event
-        self._result = ProcessResult(
-            model=self._engine.model,
-            trace=self._trace,
-            converged=self._converged,
-            stop_reason=self._stop_reason or STOP_ITERATIONS,
-            kernel_name=self._engine.kernel_name,
-            worker_restarts=self._worker_restarts,
-        )
-        return self._result
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint support (mirrors ThreadedSession's quiescent contract)
-    # ------------------------------------------------------------------ #
     def state_dict(self) -> dict:
-        if self._launched and self._in_flight:
-            raise CheckpointError(
-                "a process session can only be checkpointed while quiescent "
-                "at an epoch boundary; start the session with "
-                "pause_on_epoch=True (the Checkpoint callback does this "
-                "automatically)"
-            )
-        if self._launched and not (self._paused or self._stopping):
-            raise CheckpointError(
-                "a process session can only be checkpointed while paused at "
-                "an epoch boundary (pause_on_epoch=True)"
-            )
-        return {
-            "iteration": self._iteration,
-            "iteration_target": self._iteration_target,
-            "points_completed": self._points_completed,
-            "now": self._last_event,
-            "seq": len(self._trace.tasks),
-            "converged": self._converged,
-            "idle_workers": [],
-            "pending_dispatch": None,
-            "in_flight": [],
-            "pending_reports": [report.to_state() for report in self._reports],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if self._launched:
-            raise CheckpointError(
-                "session state can only be restored before the first step()"
-            )
-        if state["in_flight"]:
-            raise CheckpointError(
-                "this checkpoint carries simulated in-flight tasks (it was "
-                "captured from a multi-worker simulator run); resume it on "
-                'the "simulate" backend'
-            )
-        self._restored = True
-        self._iteration = int(state["iteration"])
-        self._iteration_target = int(state["iteration_target"])
-        self._points_completed = int(state["points_completed"])
-        self._converged = bool(state["converged"])
-        self._time_offset = float(state["now"])
-        self._last_event = float(state["now"])
-        self._reports = [
-            EpochReport.from_state(report) for report in state["pending_reports"]
-        ]
+        # Mirrors ThreadedSession's quiescent contract.
+        self._require_quiescent(
+            in_flight=bool(self._in_flight),
+            held=not self._started or self._paused or self._stopping,
+        )
+        return super().state_dict()
 
     # ------------------------------------------------------------------ #
     # Launch / teardown
     # ------------------------------------------------------------------ #
     def _launch(self) -> None:
         engine = self._engine
-        self._launched = True
+        self._started = True
         if not self._restored:
             engine.scheduler.start_iteration()
         try:
@@ -467,9 +302,9 @@ class ProcessSession(EngineSession):
             self._shared_store = engine._store.to_shared(
                 engine.scheduler.grid.iter_blocks()
             )
-            self._clock_start = time.monotonic() - self._time_offset
-            if self._max_time is not None:
-                self._deadline = self._clock_start + self._max_time
+            # A restored session shifts the clock back by the checkpointed
+            # engine time so stamps and the time budget continue from it.
+            self._clock_start = time.monotonic() - self._last_event
 
             self._ctx = multiprocessing.get_context(engine.start_method)
             self._done_queue = self._ctx.Queue()
@@ -614,18 +449,9 @@ class ProcessSession(EngineSession):
     # ------------------------------------------------------------------ #
     # Controller pump
     # ------------------------------------------------------------------ #
-    def _should_pause(self, epoch: int) -> bool:
-        if callable(self._pause_on_epoch):
-            return bool(self._pause_on_epoch(epoch))
-        return bool(self._pause_on_epoch)
-
     def _elapsed_deadline(self) -> bool:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_TIME_BUDGET
-            return True
-        return False
+        """Apply the wall-clock budget; True once it is spent."""
+        return self._time_budget_spent(time.monotonic() - self._clock_start)
 
     def _pump_until_report(self) -> Optional[EpochReport]:
         while True:
@@ -768,10 +594,7 @@ class ProcessSession(EngineSession):
         snapshot = self._snapshot_stage
         self._snapshot_stage = None
         snapshot.update(
-            iteration=self._iteration,
-            iteration_target=self._iteration_target,
-            points_completed=self._points_completed,
-            converged=self._converged,
+            self._counters(),
             n_tasks=len(self._trace.tasks),
             n_iterations=len(self._trace.iterations),
         )
@@ -794,10 +617,7 @@ class ProcessSession(EngineSession):
         model.p[...] = snapshot["p"]
         model.q[...] = snapshot["q"]
         self._engine.scheduler.load_state_dict(snapshot["scheduler"])
-        self._iteration = int(snapshot["iteration"])
-        self._iteration_target = int(snapshot["iteration_target"])
-        self._points_completed = int(snapshot["points_completed"])
-        self._converged = bool(snapshot["converged"])
+        self._load_counters(snapshot)
         del self._trace.tasks[snapshot["n_tasks"] :]
         del self._trace.iterations[snapshot["n_iterations"] :]
 
@@ -923,36 +743,19 @@ class ProcessSession(EngineSession):
             self._recovering = False
 
     def _book_completion(self, worker_index: int, start: float, end: float) -> None:
-        engine = self._engine
         task = self._in_flight.pop(worker_index, None)
         if task is None:  # pragma: no cover - defensive
             raise ExecutionError(
                 f"completion from worker {worker_index} with no task in flight"
             )
-        engine.scheduler.complete_task(task)
-        self._points_completed += task.nnz
-        self._last_event = max(self._last_event, end)
-        self._trace.record_task(
-            TaskRecord(
-                worker_index=worker_index,
-                is_gpu=engine.scheduler.is_gpu_worker(worker_index),
-                start_time=start,
-                end_time=end,
-                points=task.nnz,
-                n_blocks=len(task.blocks),
-                stolen=task.stolen,
-                iteration=self._iteration,
-            )
-        )
+        self.book(worker_index, task, start, end)
         self._elapsed_deadline()
-        while (
-            self._points_completed >= self._iteration_target and not self._stopping
-        ):
+        while self.boundary_due:
             self._process_boundary()
 
     def _process_boundary(self) -> None:
-        """Advance one epoch boundary (same accounting as the other
-        backends: counters and quota reset first, then RMSE).
+        """Advance one epoch boundary (the core's accounting: counters
+        and quota reset first, then RMSE).
 
         With several workers the freed ones are re-dispatched *before*
         the RMSE evaluation so they crunch the next epoch while the
@@ -963,58 +766,17 @@ class ProcessSession(EngineSession):
         the boundary, which is what makes 1-worker runs bitwise-identical
         to the serial simulator.
         """
-        engine = self._engine
-        index = self._iteration
-        points = self._points_completed
-        stamp = self._last_event
-        self._iteration += 1
-        self._iteration_target += self._total_points
-        engine.scheduler.start_iteration()
+        index = self.open_boundary()
         # Stage the recovery snapshot before any next-epoch dispatch:
         # with one worker the run is quiescent here, so the snapshot is
         # exact (the bitwise rollback-replay guarantee); with several,
         # still-running kernels make it approximate (RMSE-equivalent).
         self._stage_recovery_snapshot()
-        pause_here = self._should_pause(index)
-        if pause_here:
+        if self._should_pause(index):
             self._paused = True
-        elif engine.n_workers > 1 and not self._paused:
+        elif self._engine.n_workers > 1 and not self._paused:
             self._dispatch_free_workers()
-
-        test_rmse = rmse(engine.model, engine.test) if engine.test is not None else None
-        train_rmse = (
-            rmse(engine.model, engine.train) if engine.compute_train_rmse else None
-        )
-        self._trace.record_iteration(
-            IterationRecord(
-                iteration=index,
-                simulated_time=stamp,
-                train_rmse=train_rmse,
-                test_rmse=test_rmse,
-                points_processed=points,
-            )
-        )
-        if self._target_rmse is not None and test_rmse is not None:
-            if test_rmse <= self._target_rmse:
-                self._converged = True
-                self._trace.target_reached_at = stamp
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = STOP_TARGET_RMSE
-        if self._iteration >= self._max_iterations and not self._stopping:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_ITERATIONS
-        self._reports.append(
-            EpochReport(
-                epoch=index,
-                engine_time=stamp,
-                train_rmse=train_rmse,
-                test_rmse=test_rmse,
-                points_processed=points,
-                converged=self._converged,
-            )
-        )
+        self.close_boundary(*self.evaluate())
         self._finalize_recovery_snapshot()
 
     def _drain_in_flight(self) -> None:
@@ -1056,36 +818,18 @@ class ProcessEngine(Engine):
     ``multiprocessing.shared_memory``-backed factor matrices, so the SGD
     kernels run genuinely in parallel instead of contending for the GIL.
 
-    Parameters
-    ----------
-    scheduler:
-        The block scheduler to execute; one worker process is created
-        per scheduler worker.
+    Parameters are :class:`~repro.exec.base.Engine`'s, with these
+    particulars:
+
     train:
-        Training ratings (materialised block-major into shared memory at
-        launch; see :meth:`repro.sparse.BlockStore.to_shared`).
-    training:
-        Hyper-parameters (``k``, ``gamma``, ``lambda``, batch size).
-    test:
-        Optional held-out ratings for RMSE curves and target stopping.
+        Materialised block-major into shared memory at launch (see
+        :meth:`repro.sparse.BlockStore.to_shared`).
     model:
-        Optional pre-initialised factor model.  Its arrays are copied
-        into shared segments for the run and the final factors are
-        copied back when the session finishes.
+        Its arrays are copied into shared segments for the run and the
+        final factors are copied back when the session finishes.
     schedule:
-        Learning-rate schedule; constant by default.  Rates are priced
-        by the controller at dispatch, so the schedule never crosses the
-        process boundary.
-    platform:
-        Optional simulated platform; only consulted for
-        ``gpu_latency_scale``.
-    exact_kernel:
-        Use the exact per-rating kernel (slow; for small validation runs).
-    compute_train_rmse:
-        Also record training RMSE at iteration boundaries.
-    gpu_latency_scale:
-        As in :class:`ThreadedEngine`: make "GPU" workers sleep for this
-        fraction of their simulated device time per task.
+        Rates are priced by the controller at dispatch, so the schedule
+        never crosses the process boundary.
     use_block_store:
         Must remain ``True``: the shared-memory data plane *is* how
         rating data reaches the workers.  (The legacy gather-per-task
@@ -1098,6 +842,8 @@ class ProcessEngine(Engine):
     """
 
     backend_name = "processes"
+    result_class = ProcessResult
+    session_class = ProcessSession
 
     def __init__(
         self,
@@ -1119,17 +865,6 @@ class ProcessEngine(Engine):
                 "this platform does not support the shared-memory process "
                 'backend; use backend="threads"'
             )
-        if platform is not None and platform.n_workers != scheduler.n_workers:
-            raise ExecutionError(
-                f"platform has {platform.n_workers} workers but the scheduler "
-                f"expects {scheduler.n_workers}"
-            )
-        if gpu_latency_scale < 0:
-            raise ExecutionError(
-                f"gpu_latency_scale must be >= 0, got {gpu_latency_scale}"
-            )
-        if gpu_latency_scale > 0 and platform is None:
-            raise ExecutionError("gpu_latency_scale needs a platform for timing")
         if not use_block_store:
             raise ExecutionError(
                 'the "processes" backend requires the block-major data plane '
@@ -1144,32 +879,19 @@ class ProcessEngine(Engine):
                     f"{multiprocessing.get_all_start_methods()}, got "
                     f"{start_method!r}"
                 )
-        self.scheduler = scheduler
-        self.train = train
-        self.test = test
-        self.training = training
-        self.model = model or FactorModel.for_matrix(train, training)
-        self.schedule = schedule or ConstantSchedule(training.learning_rate)
-        self.platform = platform
-        self.exact_kernel = exact_kernel
-        self.compute_train_rmse = compute_train_rmse
-        self.gpu_latency_scale = gpu_latency_scale
+        super().__init__(
+            scheduler,
+            train,
+            training,
+            test=test,
+            model=model,
+            schedule=schedule,
+            platform=platform,
+            exact_kernel=exact_kernel,
+            compute_train_rmse=compute_train_rmse,
+            gpu_latency_scale=gpu_latency_scale,
+        )
         self.start_method = start_method or _default_start_method()
-        self.n_workers = scheduler.n_workers
-        self._store = BlockStore(train)
-        self._started = False
-
-    def _gpu_sleep_seconds(self, worker_index: int, task: Task) -> float:
-        """Latency-emulation sleep for a GPU worker's task (0 for CPUs)."""
-        if (
-            self.gpu_latency_scale <= 0
-            or self.platform is None
-            or not self.scheduler.is_gpu_worker(worker_index)
-        ):
-            return 0.0
-        device = self.platform.all_devices[task.worker_index]
-        work = task.block_work(self.training.latent_factors)
-        return device.process_time(work) * self.gpu_latency_scale
 
     # ------------------------------------------------------------------ #
     # Session protocol
@@ -1187,11 +909,7 @@ class ProcessEngine(Engine):
         backend; the parameter keeps its protocol name so callers can
         switch backends without changing call sites.
         """
-        if self._started:
-            raise ExecutionError("a ProcessEngine can only be run once")
-        self._started = True
-        return ProcessSession(
-            self,
+        return self._open_session(
             iterations=iterations,
             target_rmse=target_rmse,
             max_simulated_time=max_simulated_time,

@@ -34,14 +34,16 @@ protocol (``start()`` / ``run()``).  Factories may ignore arguments they
 have no use for (the threaded backend, for example, only consults the
 platform for GPU latency emulation).
 
-The two built-in backends — ``"simulate"`` (the discrete-event engine
-behind every paper figure) and ``"threads"`` (real concurrent worker
-threads) — are registered at import time with lazily-imported factories,
-so importing the registry never pulls in the engines themselves.
+The built-in backends — ``"simulate"`` (the discrete-event engine behind
+every paper figure), ``"threads"`` (real concurrent worker threads) and
+``"processes"`` (worker processes over shared memory) — are registered
+at import time with lazily-imported factories, so importing the registry
+never pulls in the engines themselves.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, Dict, Optional, Tuple
 
 from ..config import AUTO_BACKEND
@@ -183,91 +185,50 @@ def resolve_backend_name(
 # --------------------------------------------------------------------- #
 # Built-in backends
 # --------------------------------------------------------------------- #
-def _simulate_factory(
-    *,
-    scheduler,
-    train,
-    training,
-    test=None,
-    model=None,
-    schedule=None,
-    platform=None,
-    compute_train_rmse=False,
-    use_block_store=True,
-):
-    from ..sim.engine import SimulationEngine
+def _register_builtin(
+    name: str, module: str, engine_class: str, requires_platform: bool = False
+) -> BackendFactory:
+    """Register a built-in engine under ``name``, imported on first use.
 
-    if platform is None:
-        raise ConfigurationError(
-            'the "simulate" backend needs a platform to price task durations'
+    Every built-in engine takes the factory contract's keyword arguments
+    under the same names, so one pass-through serves all three.
+    """
+
+    def factory(
+        *,
+        scheduler,
+        train,
+        training,
+        test=None,
+        model=None,
+        schedule=None,
+        platform=None,
+        compute_train_rmse=False,
+        use_block_store=True,
+    ):
+        if requires_platform and platform is None:
+            raise ConfigurationError(
+                f'the "{name}" backend needs a platform to price task durations'
+            )
+        engine = getattr(import_module(module, __package__), engine_class)
+        return engine(
+            scheduler=scheduler,
+            train=train,
+            training=training,
+            test=test,
+            model=model,
+            schedule=schedule,
+            platform=platform,
+            compute_train_rmse=compute_train_rmse,
+            use_block_store=use_block_store,
         )
-    return SimulationEngine(
-        scheduler=scheduler,
-        platform=platform,
-        train=train,
-        training=training,
-        test=test,
-        model=model,
-        schedule=schedule,
-        compute_train_rmse=compute_train_rmse,
-        use_block_store=use_block_store,
-    )
+
+    register_backend(name, factory)
+    return factory
 
 
-def _threads_factory(
-    *,
-    scheduler,
-    train,
-    training,
-    test=None,
-    model=None,
-    schedule=None,
-    platform=None,
-    compute_train_rmse=False,
-    use_block_store=True,
-):
-    from .threaded import ThreadedEngine
-
-    return ThreadedEngine(
-        scheduler=scheduler,
-        train=train,
-        training=training,
-        test=test,
-        model=model,
-        schedule=schedule,
-        platform=platform,
-        compute_train_rmse=compute_train_rmse,
-        use_block_store=use_block_store,
-    )
-
-
-def _processes_factory(
-    *,
-    scheduler,
-    train,
-    training,
-    test=None,
-    model=None,
-    schedule=None,
-    platform=None,
-    compute_train_rmse=False,
-    use_block_store=True,
-):
-    from .process import ProcessEngine
-
-    return ProcessEngine(
-        scheduler=scheduler,
-        train=train,
-        training=training,
-        test=test,
-        model=model,
-        schedule=schedule,
-        platform=platform,
-        compute_train_rmse=compute_train_rmse,
-        use_block_store=use_block_store,
-    )
-
-
-register_backend("simulate", _simulate_factory)
-register_backend("threads", _threads_factory)
-register_backend("processes", _processes_factory)
+_simulate_factory = _register_builtin(
+    "simulate", "..sim.engine", "SimulationEngine", requires_platform=True
+)
+_register_builtin("threads", ".threaded", "ThreadedEngine")
+_register_builtin("processes", ".process", "ProcessEngine")

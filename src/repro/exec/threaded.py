@@ -21,7 +21,7 @@ optional ``gpu_latency_scale`` makes them sleep for a fraction of the
 simulated device time after each task, which lets throughput experiments
 model a fast-but-latency-bound accelerator against real CPU threads.
 
-The engine produces the same :class:`~repro.sim.trace.ExecutionTrace`
+The engine produces the same :class:`~repro.exec.trace.ExecutionTrace`
 the simulator does, with wall-clock seconds as the time base, so every
 downstream analysis (RMSE curves, utilisation, steal counts) works
 unchanged on real executions.
@@ -44,28 +44,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
-from ..config import TrainingConfig
-from ..exceptions import CheckpointError, ExecutionError
-from ..hardware import HeterogeneousPlatform
-from ..sgd import FactorModel, rmse
-from ..sgd.schedules import ConstantSchedule, LearningRateSchedule
-from ..sparse import BlockStore, SparseRatingMatrix
-from ..core.schedulers import Scheduler
+from ..exceptions import ExecutionError
 from ..core.tasks import Task
-from ..sim.trace import ExecutionTrace, IterationRecord, TaskRecord
-from .base import (
-    Engine,
-    WallClockResult,
-    apply_task_updates,
-    resolve_stopping_conditions,
-)
-from .session import (
-    STOP_ITERATIONS,
-    STOP_TARGET_RMSE,
-    STOP_TIME_BUDGET,
-    EngineSession,
-    EpochReport,
-)
+from .base import Engine, WallClockResult, apply_task_updates
+from .session import STOP_CALLBACK, EngineSession, EpochReport
 
 #: Seconds an idle worker waits before re-polling the scheduler.  Idle
 #: workers are also woken explicitly whenever a task completes, so this
@@ -82,71 +64,32 @@ class ThreadedResult(WallClockResult):
 class ThreadedSession(EngineSession):
     """One threaded run, observed (and optionally paused) per epoch.
 
-    Shared run state is guarded by one condition variable.  Workers wait
-    on the condition while no conflict-free work exists for them — or,
-    in ``pause_on_epoch`` mode, while the controller holds the run at an
-    epoch boundary — and are woken by every completion (which may have
-    released the bands or quota they need) and by every controller
+    The executor half of the session: worker threads share the core's
+    epoch ledger, so all of it is guarded by one condition variable —
+    every core call below happens with ``_cond`` held, except
+    ``evaluate()`` — and the controller-facing surface is overridden to
+    take it.  Workers wait on the condition while no conflict-free work
+    exists for them — or, in ``pause_on_epoch`` mode, while the
+    controller holds the run at an epoch boundary — and are woken by
+    every completion (which may have released the bands or quota they
+    need), by every stop request and by every controller
     ``step()``/``stop()``/``finish()``.
     """
 
-    def __init__(
-        self,
-        engine: "ThreadedEngine",
-        iterations: Optional[int] = None,
-        target_rmse: Optional[float] = None,
-        max_simulated_time: Optional[float] = None,
-        pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
-    ) -> None:
-        self._engine = engine
-        self._max_iterations = resolve_stopping_conditions(
-            iterations,
-            target_rmse,
-            max_simulated_time,
-            default_iterations=engine.training.iterations,
-            has_test=engine.test is not None,
-            error=ExecutionError,
-        )
-        self._target_rmse = target_rmse
-        self._max_time = max_simulated_time
-        self._pause_on_epoch = pause_on_epoch
-
-        self._total_points = engine.scheduler.total_points
-        if self._total_points <= 0:
-            raise ExecutionError("the scheduler's grid contains no ratings")
-
-        self._trace = ExecutionTrace(target_rmse=target_rmse)
+    def __init__(self, engine: "ThreadedEngine", **stopping) -> None:
+        super().__init__(engine, **stopping)
         self._cond = threading.Condition()
         self._threads: List[threading.Thread] = []
-        self._launched = False
-        self._restored = False
-        self._paused = False
-        self._stopping = False
-        self._converged = False
-        self._stop_reason: Optional[str] = None
-        self._error: Optional[BaseException] = None
-        self._result: Optional[ThreadedResult] = None
         self._in_flight = 0
+        #: Set while one worker owns boundary processing; keeps the
+        #: iteration records ordered.
         self._boundary_busy = False
         self._idle: set = set()
-        self._points_completed = 0
-        self._iteration = 0
-        self._iteration_target = self._total_points
-        self._deadline: Optional[float] = None
         self._clock_start = 0.0
-        self._last_event = 0.0
-        #: Engine seconds accumulated by a restored checkpoint's prefix;
-        #: shifts the clock so resumed timestamps continue monotonically.
-        self._time_offset = 0.0
-        self._reports: List[EpochReport] = []
 
     # ------------------------------------------------------------------ #
-    # Protocol surface
+    # Protocol surface (the core's, under the lock)
     # ------------------------------------------------------------------ #
-    @property
-    def engine(self) -> "ThreadedEngine":
-        return self._engine
-
     @property
     def epoch(self) -> int:
         with self._cond:
@@ -155,56 +98,44 @@ class ThreadedSession(EngineSession):
     @property
     def done(self) -> bool:
         with self._cond:
-            if self._result is not None:
-                return True
-            if self._reports:
-                return False
-            return self._stopping or (self._launched and self._run_over_locked())
+            return super().done or (not self._reports and self._run_over_locked())
 
-    @property
-    def trace(self) -> ExecutionTrace:
-        return self._trace
-
-    @property
-    def backend_name(self) -> str:
-        return "threads"
-
-    @property
-    def started(self) -> bool:
-        return self._launched
-
-    def stop(self, reason: str = "callback") -> None:
+    def stop(self, reason: str = STOP_CALLBACK) -> None:
         with self._cond:
-            if not self._stopping:
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = reason
-            self._paused = False
+            super().stop(reason)
             self._cond.notify_all()
 
     def step(self) -> Optional[EpochReport]:
         with self._cond:
-            # Queued reports (several boundaries can pass between steps,
-            # or one huge task can cross more than one) are delivered
-            # without touching the pause state.
+            # Queued reports are delivered without touching the pause state.
             if self._reports:
                 return self._reports.pop(0)
-            if self._result is not None or self._stopping:
+            if self._run_is_over():
                 return None
-            if self._iteration >= self._max_iterations and not self._boundary_busy:
-                # Only reachable on a restored session: a checkpoint taken
-                # at (or past) this run's epoch cap has nothing left to
-                # do.  A live run sets _stopping at the boundary that
-                # reaches the cap — and while that boundary's owner is
-                # still evaluating RMSE (_iteration already advanced,
-                # _boundary_busy set) its report is yet to come and must
-                # not be pre-empted here.
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = STOP_ITERATIONS
-                self._cond.notify_all()
-                return None
-        if not self._launched:
+        return self._advance()
+
+    def state_dict(self) -> dict:
+        with self._cond:
+            self._require_quiescent(
+                in_flight=self._in_flight > 0,
+                held=not self._started
+                or self._paused
+                or self._run_over_locked()
+                or self._stopping,
+            )
+            return super().state_dict()
+
+    def _request_stop(self, reason: str) -> None:
+        # Lock held.  Whoever decides the run is over — controller,
+        # deadline, boundary rule — wakes the waiting workers.
+        super()._request_stop(reason)
+        self._cond.notify_all()
+
+    # ------------------------------------------------------------------ #
+    # Executor hooks
+    # ------------------------------------------------------------------ #
+    def _advance(self) -> Optional[EpochReport]:
+        if not self._started:
             self._launch()
         with self._cond:
             # Resume the pool — unless a boundary already queued a report
@@ -229,119 +160,27 @@ class ThreadedSession(EngineSession):
                     return None
                 self._cond.wait(IDLE_POLL_SECONDS)
 
-    def finish(self) -> ThreadedResult:
-        if self._result is not None:
-            return self._result
-        with self._cond:
-            if not self._stopping:
-                self._stopping = True
-                if self._stop_reason is None:
-                    # finish() before any stopping condition fired: the
-                    # caller is abandoning the run.
-                    self._stop_reason = "aborted"
-            self._paused = False
-            self._cond.notify_all()
+    def _release(self) -> None:
         for thread in self._threads:
             thread.join()
-
-        if self._error is not None:
-            if isinstance(self._error, ExecutionError):
-                raise self._error
-            raise ExecutionError(
-                f"a worker thread failed: {self._error!r}"
-            ) from self._error
-
-        self._trace.final_time = self._last_event
-        self._result = ThreadedResult(
-            model=self._engine.model,
-            trace=self._trace,
-            converged=self._converged,
-            stop_reason=self._stop_reason or STOP_ITERATIONS,
-            kernel_name=self._engine.kernel_name,
-        )
-        return self._result
-
-    # ------------------------------------------------------------------ #
-    # Checkpoint support
-    # ------------------------------------------------------------------ #
-    def state_dict(self) -> dict:
-        with self._cond:
-            if self._launched and self._in_flight > 0:
-                raise CheckpointError(
-                    "a threaded session can only be checkpointed while "
-                    "quiescent at an epoch boundary; start the session with "
-                    "pause_on_epoch=True (the Checkpoint callback does this "
-                    "automatically)"
-                )
-            if self._launched and not (
-                self._paused or self._run_over_locked() or self._stopping
-            ):
-                raise CheckpointError(
-                    "a threaded session can only be checkpointed while "
-                    "paused at an epoch boundary (pause_on_epoch=True)"
-                )
-            return {
-                "iteration": self._iteration,
-                "iteration_target": self._iteration_target,
-                "points_completed": self._points_completed,
-                "now": self._last_event,
-                "seq": len(self._trace.tasks),
-                "converged": self._converged,
-                "idle_workers": [],
-                "pending_dispatch": None,
-                "in_flight": [],
-                "pending_reports": [
-                    report.to_state() for report in self._reports
-                ],
-            }
-
-    def load_state_dict(self, state: dict) -> None:
-        if self._launched:
-            raise CheckpointError(
-                "session state can only be restored before the first step()"
-            )
-        if state["in_flight"]:
-            raise CheckpointError(
-                "this checkpoint carries simulated in-flight tasks (it was "
-                "captured from a multi-worker simulator run); resume it on "
-                'the "simulate" backend'
-            )
-        self._restored = True
-        self._iteration = int(state["iteration"])
-        self._iteration_target = int(state["iteration_target"])
-        self._points_completed = int(state["points_completed"])
-        self._converged = bool(state["converged"])
-        self._time_offset = float(state["now"])
-        self._last_event = float(state["now"])
-        self._reports = [
-            EpochReport.from_state(report) for report in state["pending_reports"]
-        ]
 
     # ------------------------------------------------------------------ #
     # Pool management
     # ------------------------------------------------------------------ #
-    def _should_pause(self, epoch: int) -> bool:
-        """Whether the boundary of 0-based ``epoch`` must quiesce the pool."""
-        if callable(self._pause_on_epoch):
-            return bool(self._pause_on_epoch(epoch))
-        return bool(self._pause_on_epoch)
-
     def _run_over_locked(self) -> bool:
         """Whether every worker thread has exited (lock held or not needed)."""
-        return self._launched and all(
+        return self._started and all(
             not thread.is_alive() for thread in self._threads
         )
 
     def _launch(self) -> None:
-        self._launched = True
+        self._started = True
         if not self._restored:
             self._engine.scheduler.start_iteration()
         # A restored session shifts the clock back by the checkpointed
         # engine time so wall-clock stamps (and the time budget) continue
         # where the previous run left off.
-        self._clock_start = time.monotonic() - self._time_offset
-        if self._max_time is not None:
-            self._deadline = self._clock_start + self._max_time
+        self._clock_start = time.monotonic() - self._last_event
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
@@ -361,7 +200,6 @@ class ThreadedSession(EngineSession):
         return time.monotonic() - self._clock_start
 
     def _worker_loop(self, worker_index: int) -> None:
-        is_gpu = self._engine.scheduler.is_gpu_worker(worker_index)
         while True:
             with self._cond:
                 try:
@@ -378,7 +216,7 @@ class ThreadedSession(EngineSession):
                     return
             start = self._elapsed()
             try:
-                self._execute_task(task, rate_iteration, is_gpu)
+                self._execute_task(worker_index, task, rate_iteration)
             except BaseException as exc:  # propagate to finish()
                 with self._cond:
                     self._engine.scheduler.abort_task(task)
@@ -392,7 +230,7 @@ class ThreadedSession(EngineSession):
             with self._cond:
                 try:
                     owns_boundary = self._book_completion(
-                        worker_index, is_gpu, task, start, end
+                        worker_index, task, start, end
                     )
                 except BaseException as exc:
                     # Completion bookkeeping failed: surface the error
@@ -425,11 +263,7 @@ class ThreadedSession(EngineSession):
         while True:
             if self._stopping or self._error is not None:
                 return None, 0
-            if self._deadline is not None and time.monotonic() > self._deadline:
-                self._stopping = True
-                if self._stop_reason is None:
-                    self._stop_reason = STOP_TIME_BUDGET
-                self._cond.notify_all()
+            if self._time_budget_spent(self._elapsed()):
                 return None, 0
             if self._paused:
                 # The controller holds the run at an epoch boundary.
@@ -453,7 +287,7 @@ class ThreadedSession(EngineSession):
                 return None, 0
             self._cond.wait(timeout=IDLE_POLL_SECONDS)
 
-    def _execute_task(self, task: Task, iteration: int, is_gpu: bool) -> None:
+    def _execute_task(self, worker_index: int, task: Task, iteration: int) -> None:
         """Apply one task's SGD updates (no lock held — see module docstring)."""
         engine = self._engine
         apply_task_updates(
@@ -465,18 +299,12 @@ class ThreadedSession(EngineSession):
             exact_kernel=engine.exact_kernel,
             store=engine._store,
         )
-        if is_gpu and engine.gpu_latency_scale > 0 and engine.platform is not None:
-            device = engine.platform.all_devices[task.worker_index]
-            work = task.block_work(engine.training.latent_factors)
-            time.sleep(device.process_time(work) * engine.gpu_latency_scale)
+        sleep_s = engine._gpu_sleep_seconds(worker_index, task)
+        if sleep_s > 0:
+            time.sleep(sleep_s)
 
     def _book_completion(
-        self,
-        worker_index: int,
-        is_gpu: bool,
-        task: Task,
-        start: float,
-        end: float,
+        self, worker_index: int, task: Task, start: float, end: float
     ) -> bool:
         """Book a completed task (locked).
 
@@ -484,31 +312,10 @@ class ThreadedSession(EngineSession):
         and no other worker is already processing one: the caller must
         then run :meth:`_process_boundaries` after releasing the lock.
         """
-        self._engine.scheduler.complete_task(task)
+        self.book(worker_index, task, start, end)
         self._in_flight -= 1
-        self._points_completed += task.nnz
-        self._last_event = max(self._last_event, end)
-        self._trace.record_task(
-            TaskRecord(
-                worker_index=worker_index,
-                is_gpu=is_gpu,
-                start_time=start,
-                end_time=end,
-                points=task.nnz,
-                n_blocks=len(task.blocks),
-                stolen=task.stolen,
-                iteration=self._iteration,
-            )
-        )
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            self._stopping = True
-            if self._stop_reason is None:
-                self._stop_reason = STOP_TIME_BUDGET
-        if (
-            not self._stopping
-            and not self._boundary_busy
-            and self._points_completed >= self._iteration_target
-        ):
+        self._time_budget_spent(self._elapsed())
+        if self.boundary_due and not self._boundary_busy:
             self._boundary_busy = True
             return True
         return False
@@ -516,31 +323,19 @@ class ThreadedSession(EngineSession):
     def _process_boundaries(self) -> None:
         """Process iteration boundaries, evaluating RMSE outside the lock.
 
-        Iterations complete when the cumulative processed ratings reach
-        the next multiple of the grid's total, with the same accounting
-        as the simulator (other tasks may be in flight across the
-        boundary there too).  The counter advance and the scheduler's
-        quota reset happen under the lock so the other workers move on to
-        the next iteration immediately; the O(test nnz) RMSE evaluation
-        happens *outside* it — it would buy no consistency anyway, since
-        in-flight kernels mutate the factors regardless.  Only one worker
-        owns boundary processing at a time (``_boundary_busy``), which
-        keeps the iteration records ordered.
+        Same accounting as the simulator (the core's).  The counter
+        advance and the scheduler's quota reset happen under the lock so
+        the other workers move on to the next iteration immediately; the
+        O(test nnz) RMSE evaluation happens *outside* it.  Only one
+        worker owns boundary processing at a time (``_boundary_busy``).
         """
-        engine = self._engine
         while True:
             with self._cond:
-                if self._stopping or self._points_completed < self._iteration_target:
+                if not self.boundary_due:
                     self._boundary_busy = False
                     self._cond.notify_all()
                     return
-                index = self._iteration
-                points = self._points_completed
-                stamp = self._last_event
-                self._iteration += 1
-                self._iteration_target += self._total_points
-                engine.scheduler.start_iteration()
-                if self._should_pause(index):
+                if self._should_pause(self.open_boundary()):
                     # Hold the run at this boundary: workers stop drawing
                     # new tasks and the in-flight remainder drains while
                     # the controller consumes the report.
@@ -550,136 +345,25 @@ class ThreadedSession(EngineSession):
                     # them before the RMSE evaluation, not after it.
                     self._cond.notify_all()
 
-            test_rmse = (
-                rmse(engine.model, engine.test) if engine.test is not None else None
-            )
-            train_rmse = (
-                rmse(engine.model, engine.train)
-                if engine.compute_train_rmse
-                else None
-            )
+            rmses = self.evaluate()
 
             with self._cond:
-                self._trace.record_iteration(
-                    IterationRecord(
-                        iteration=index,
-                        simulated_time=stamp,
-                        train_rmse=train_rmse,
-                        test_rmse=test_rmse,
-                        points_processed=points,
-                    )
-                )
-                if self._target_rmse is not None and test_rmse is not None:
-                    if test_rmse <= self._target_rmse:
-                        self._converged = True
-                        self._trace.target_reached_at = stamp
-                        self._stopping = True
-                        if self._stop_reason is None:
-                            self._stop_reason = STOP_TARGET_RMSE
-                if self._iteration >= self._max_iterations and not self._stopping:
-                    self._stopping = True
-                    if self._stop_reason is None:
-                        self._stop_reason = STOP_ITERATIONS
-                self._reports.append(
-                    EpochReport(
-                        epoch=index,
-                        engine_time=stamp,
-                        train_rmse=train_rmse,
-                        test_rmse=test_rmse,
-                        points_processed=points,
-                        converged=self._converged,
-                    )
-                )
+                self.close_boundary(*rmses)
                 self._cond.notify_all()
 
 
 class ThreadedEngine(Engine):
     """Runs a scheduler with a pool of real concurrent worker threads.
 
-    Parameters
-    ----------
-    scheduler:
-        The block scheduler to execute; one thread is created per
-        scheduler worker.
-    train:
-        Training ratings.
-    training:
-        Hyper-parameters (``k``, ``gamma``, ``lambda``).
-    test:
-        Optional held-out ratings; needed for RMSE-vs-time curves and
-        time-to-target stopping.
-    model:
-        Optional pre-initialised factor model (a fresh one is created
-        otherwise).
-    schedule:
-        Learning-rate schedule; constant by default.
-    platform:
-        Optional simulated platform description.  Only consulted for
-        ``gpu_latency_scale``; when given, its worker count must match
-        the scheduler's.
-    exact_kernel:
-        Use the exact per-rating kernel (slow; for small validation runs).
-    compute_train_rmse:
-        Also record training RMSE at iteration boundaries.
-    gpu_latency_scale:
-        When positive (requires ``platform``), each GPU worker sleeps for
-        this fraction of its task's *simulated* device time after the
-        numerical work, emulating device latency against real CPU
-        threads.  Zero (the default) disables the emulation.
-    use_block_store:
-        Feed the kernels through the block-major data plane
-        (:class:`~repro.sparse.BlockStore`).  Disabling it restores the
-        legacy gather-per-task path — bitwise-identical, only slower —
-        which exists for benchmarking the data plane against its
-        predecessor.
+    One thread is created per scheduler worker.  Parameters are
+    :class:`~repro.exec.base.Engine`'s; ``platform`` is only consulted
+    for ``gpu_latency_scale``.
     """
 
     backend_name = "threads"
+    result_class = ThreadedResult
+    session_class = ThreadedSession
 
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        train: SparseRatingMatrix,
-        training: TrainingConfig,
-        test: Optional[SparseRatingMatrix] = None,
-        model: Optional[FactorModel] = None,
-        schedule: Optional[LearningRateSchedule] = None,
-        platform: Optional[HeterogeneousPlatform] = None,
-        exact_kernel: bool = False,
-        compute_train_rmse: bool = False,
-        gpu_latency_scale: float = 0.0,
-        use_block_store: bool = True,
-    ) -> None:
-        if platform is not None and platform.n_workers != scheduler.n_workers:
-            raise ExecutionError(
-                f"platform has {platform.n_workers} workers but the scheduler "
-                f"expects {scheduler.n_workers}"
-            )
-        if gpu_latency_scale < 0:
-            raise ExecutionError(
-                f"gpu_latency_scale must be >= 0, got {gpu_latency_scale}"
-            )
-        if gpu_latency_scale > 0 and platform is None:
-            raise ExecutionError("gpu_latency_scale needs a platform for timing")
-        self.scheduler = scheduler
-        self.train = train
-        self.test = test
-        self.training = training
-        self.model = model or FactorModel.for_matrix(train, training)
-        self.schedule = schedule or ConstantSchedule(training.learning_rate)
-        self.platform = platform
-        self.exact_kernel = exact_kernel
-        self.compute_train_rmse = compute_train_rmse
-        self.gpu_latency_scale = gpu_latency_scale
-        self.n_workers = scheduler.n_workers
-        # Shared, immutable after materialisation; worker threads read it
-        # concurrently without locking (see BlockStore's thread-safety note).
-        self._store = BlockStore(train) if use_block_store else None
-        self._started = False
-
-    # ------------------------------------------------------------------ #
-    # Session protocol
-    # ------------------------------------------------------------------ #
     def start(
         self,
         iterations: Optional[int] = None,
@@ -693,11 +377,7 @@ class ThreadedEngine(Engine):
         backend; the parameter keeps its protocol name so callers can
         switch backends without changing call sites.
         """
-        if self._started:
-            raise ExecutionError("a ThreadedEngine can only be run once")
-        self._started = True
-        return ThreadedSession(
-            self,
+        return self._open_session(
             iterations=iterations,
             target_rmse=target_rmse,
             max_simulated_time=max_simulated_time,

@@ -36,6 +36,7 @@ from repro.exec import (
     EngineSession,
     EpochReport,
     JsonlLogger,
+    ProcessEngine,
     ThreadedEngine,
     TimeBudget,
     TrainCheckpoint,
@@ -66,12 +67,23 @@ def _sim_engine(train, test, training, scaled_preset, n_workers=2):
     )
 
 
-def _threaded_engine(train, test, training, n_workers=1):
+def _threaded_engine(train, test, training, n_workers=1, engine_class=ThreadedEngine):
     grid = uniform_partition(train, n_workers + 2, n_workers + 2)
     scheduler = GreedyBlockScheduler(grid, n_workers, 0, seed=0)
-    return ThreadedEngine(
+    return engine_class(
         scheduler=scheduler, train=train, training=training, test=test,
     )
+
+
+ALL_BACKENDS = ["simulate", "threads", "processes"]
+
+
+def _one_worker_engine(backend, train, test, training, scaled_preset):
+    """A 1-worker engine of any built-in backend (protocol edge cases)."""
+    if backend == "simulate":
+        return _sim_engine(train, test, training, scaled_preset, n_workers=1)
+    engine_class = ThreadedEngine if backend == "threads" else ProcessEngine
+    return _threaded_engine(train, test, training, engine_class=engine_class)
 
 
 class TestStepwiseProtocol:
@@ -106,9 +118,31 @@ class TestStepwiseProtocol:
             t.end_time for t in stepped.trace.tasks
         ]
 
-    def test_session_stop_ends_the_run(self, small_split, small_training, scaled_preset):
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_zero_iterations_never_asks_the_scheduler(
+        self, backend, small_split, small_training, scaled_preset, monkeypatch
+    ):
+        """A run capped at zero epochs ends on its cap without priming:
+        no quota reset, no task drawn, no tie-break randomness consumed."""
         train, test = small_split
-        session = _sim_engine(train, test, small_training, scaled_preset).start(iterations=10)
+        engine = _one_worker_engine(backend, train, test, small_training, scaled_preset)
+        calls = []
+        for name in ("start_iteration", "next_task"):
+            monkeypatch.setattr(
+                engine.scheduler, name, lambda *args, _name=name: calls.append(_name)
+            )
+        session = engine.start(iterations=0)
+        assert session.step() is None
+        result = session.finish()
+        assert result.stop_reason == "iterations"
+        assert calls == [] and result.trace.tasks == []
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_session_stop_ends_the_run(self, backend, small_split, small_training, scaled_preset):
+        train, test = small_split
+        engine = _one_worker_engine(backend, train, test, small_training, scaled_preset)
+        # Paused, so the real backends hold still at the boundary too.
+        session = engine.start(iterations=10, pause_on_epoch=True)
         assert session.step() is not None
         session.stop(reason="because")
         assert session.step() is None
@@ -116,12 +150,27 @@ class TestStepwiseProtocol:
         assert len(result.trace.iterations) == 1
         assert result.stop_reason == "because"
 
-    def test_finish_is_idempotent(self, small_split, small_training, scaled_preset):
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_finish_is_idempotent(self, backend, small_split, small_training, scaled_preset):
         train, test = small_split
-        session = _sim_engine(train, test, small_training, scaled_preset).start(iterations=1)
+        engine = _one_worker_engine(backend, train, test, small_training, scaled_preset)
+        session = engine.start(iterations=1)
         while session.step() is not None:
             pass
         assert session.finish() is session.finish()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_finish_before_any_stop_reports_aborted(
+        self, backend, small_split, small_training, scaled_preset
+    ):
+        train, test = small_split
+        engine = _one_worker_engine(backend, train, test, small_training, scaled_preset)
+        session = engine.start(iterations=10, pause_on_epoch=True)
+        assert session.step() is not None
+        result = session.finish()
+        assert result.stop_reason == "aborted"
+        assert not result.converged
+        assert session.done and session.step() is None
 
     def test_threaded_session_reports(self, small_split, small_training):
         train, test = small_split
@@ -273,16 +322,14 @@ class TestResumeAtCap:
     """A checkpoint taken at (or past) the epoch cap resumes to an
     immediate, clean end — not an extra epoch beyond the cap."""
 
-    @pytest.mark.parametrize("backend", ["simulate", "threads"])
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_resume_at_cap_runs_no_extra_epoch(
         self, backend, small_split, small_training, scaled_preset, tmp_path
     ):
         train, test = small_split
 
         def engine():
-            if backend == "simulate":
-                return _sim_engine(train, test, small_training, scaled_preset, n_workers=1)
-            return _threaded_engine(train, test, small_training)
+            return _one_worker_engine(backend, train, test, small_training, scaled_preset)
 
         session = engine().start(iterations=3, pause_on_epoch=True)
         while session.step() is not None:
@@ -298,6 +345,34 @@ class TestResumeAtCap:
         assert len(result.trace.iterations) == 3
         assert result.stop_reason == "iterations"
         np.testing.assert_array_equal(result.model.p, p_before)
+
+    @pytest.mark.parametrize(
+        "backend, reason",
+        [("simulate", "iterations"), ("threads", "aborted"), ("processes", "aborted")],
+    )
+    def test_finish_at_cap_without_a_step(
+        self, backend, reason, small_split, small_training, scaled_preset
+    ):
+        """finish() with no step() on a session restored at its cap: the
+        simulator names the cap, the real backends call it abandoned
+        (each backend's rule since the session protocol was introduced)."""
+        train, test = small_split
+
+        def engine():
+            return _one_worker_engine(backend, train, test, small_training, scaled_preset)
+
+        session = engine().start(iterations=2, pause_on_epoch=True)
+        while session.step() is not None:
+            pass
+        checkpoint = TrainCheckpoint.capture(session)
+        session.finish()
+
+        resumed_session = engine().start(iterations=2)
+        checkpoint.restore(resumed_session)
+        result = resumed_session.finish()
+        assert result.stop_reason == reason
+        assert len(result.trace.iterations) == 2
+        np.testing.assert_array_equal(result.model.p, checkpoint.p)
 
 
 class TestCallbackFailureTeardown:
@@ -321,13 +396,18 @@ class TestCallbackFailureTeardown:
         assert session.done
         assert all(not t.is_alive() for t in session._threads)
 
-    def test_done_reflects_stop_before_launch(self, small_split, small_training):
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_done_reflects_stop_before_launch(
+        self, backend, small_split, small_training, scaled_preset
+    ):
         train, test = small_split
-        session = _threaded_engine(train, test, small_training).start(iterations=3)
+        engine = _one_worker_engine(backend, train, test, small_training, scaled_preset)
+        session = engine.start(iterations=3)
         assert not session.done
         session.stop()
         assert session.done
         assert session.step() is None
+        assert not session.started
 
 
 class TestCheckpointValidation:
@@ -625,21 +705,14 @@ class TestResultDedup:
         result = trainer.fit(train, test, iterations=2)
         assert isinstance(result, TrainResult)
         assert isinstance(result, EngineResult)
-        # engine_time is the canonical name; simulated_time the
-        # deprecated alias, which must both warn and keep returning the
-        # same value until it is removed.
-        with pytest.warns(DeprecationWarning, match="engine_time"):
-            alias = result.simulated_time
-        assert result.engine_time == alias == result.trace.final_time
+        assert result.engine_time == result.trace.final_time
         assert result.time_to_rmse(10.0) is not None
         assert result.stop_reason == "iterations"
 
     def test_engine_result_exposes_engine_time(self, small_split, small_training, scaled_preset):
         train, test = small_split
         outcome = _sim_engine(train, test, small_training, scaled_preset).run(iterations=1)
-        with pytest.warns(DeprecationWarning, match="simulated_time is deprecated"):
-            alias = outcome.simulated_time
-        assert outcome.engine_time == alias
+        assert outcome.engine_time == outcome.trace.final_time
         assert outcome.time_to_rmse(0.0) is None
 
 
