@@ -20,11 +20,13 @@ auto-detected:
   each newcomer-batch size's batched fold-in users/s, **normalised by
   the same run's naive per-user solve loop** (the payload's
   ``speedup_vs_naive``);
-* **HTTP service** (``BENCH_service.json`` / ``bench_service.py``): each
-  closed-loop client level's achieved requests/s, **normalised by the
-  same run's direct in-process RecommendationService users/s** — the
-  identical scoring work without HTTP, processes or queueing, so the
-  ratio isolates the front door's own overhead from runner speed;
+* **HTTP service** (``BENCH_service.json`` / ``bench_service.py``): for
+  each serving tier (``inline``: scored in the event loop, ``readers``:
+  scored by the reader pool) each closed-loop client level's achieved
+  requests/s, **normalised by the same run's direct in-process
+  RecommendationService users/s on that tier's model** — the identical
+  scoring work without HTTP, processes or queueing, so the ratio
+  isolates the front door's own overhead from runner speed;
 * **approximate retrieval** (the ``ann_frontier`` section that
   ``bench_serving.py`` merges into ``BENCH_serve.json``): each nprobe
   point's ANN users/s, **normalised by the same run's naive full-matmul
@@ -238,14 +240,19 @@ def compare_stream(baseline: dict, current: dict, max_drop: float) -> int:
     return 0
 
 
+_SERVICE_TIERS = ("inline", "readers")
+
+
 def _normalised_service(payload: dict) -> dict:
-    """``{clients: achieved_qps / direct_users_per_s}``."""
-    direct = float(payload.get("baselines", {}).get("direct_users_per_s", 0.0))
+    """``{"<tier> x<clients>": achieved_qps / the tier's direct_users_per_s}``."""
     out = {}
-    if direct <= 0:
-        return out
-    for entry in payload.get("service", {}).get("closed_loop", []):
-        out[int(entry["clients"])] = float(entry["achieved_qps"]) / direct
+    for name in _SERVICE_TIERS:
+        tier = payload.get("service", {}).get(name, {})
+        direct = float(tier.get("direct_users_per_s", 0.0))
+        if direct <= 0:
+            continue
+        for entry in tier.get("closed_loop", []):
+            out[f"{name} x{int(entry['clients'])}"] = float(entry["achieved_qps"]) / direct
     return out
 
 
@@ -255,12 +262,13 @@ def compare_service(baseline: dict, current: dict, max_drop: float) -> int:
     if not cur:
         print("error: current run contains no comparable service measurements")
         return 1
-    direct = current.get("baselines", {}).get("direct_users_per_s")
-    print(f"  normaliser direct in-process serving: {direct} users/s")
+    for name in _SERVICE_TIERS:
+        direct = current.get("service", {}).get(name, {}).get("direct_users_per_s")
+        print(f"  normaliser direct in-process serving ({name}): {direct} users/s")
     failures = _report(
         base,
         cur,
-        lambda key: f"closed loop x{key}",
+        lambda key: f"closed loop {key}",
         "direct serving",
         max_drop,
     )

@@ -5,17 +5,20 @@ The HTTP front door (:mod:`repro.service`) in one sitting:
 1. publish a factor model into a :class:`repro.serve.ModelStore` — one
    shared-memory segment;
 2. start a :class:`repro.service.RecommendServer` on an ephemeral
-   loopback port: an asyncio event loop doing admission control, with a
+   loopback port: an asyncio event loop doing validation, admission
+   control and — for a model this small — the scoring itself, with a
    pool of reader *processes* attached zero-copy to the published
-   segment doing the scoring;
+   segment for models too big to score between two socket reads;
 3. issue real HTTP requests — ``/healthz``, ``/recommend``, ``/stats``
    — and verify the slates match an in-process
    :class:`~repro.serve.Scorer` bit for bit;
-4. demonstrate the request-validation and admission surfaces (a 400 and
-   the queue bound the 503 path enforces);
-5. **hot-swap**: publish version 2 while the server is up, watch the
-   readers roll over without dropping a request;
+4. demonstrate request validation (a 400 never reaches a scorer);
+5. **hot-swap**: publish a version 2 with a catalogue above the inline
+   threshold while the server is up, and watch the same socket move
+   from the loop's tier to the readers' without dropping a request;
 6. shut down and verify no shared-memory segment leaked.
+
+Every step prints which tier served it, read off ``/stats``.
 
 Run with::
 
@@ -36,7 +39,18 @@ from repro.shm import live_segment_names
 N_USERS = int(os.environ.get("REPRO_EXAMPLES_USERS", "400"))
 N_ITEMS = 250
 LATENT = 16
+#: Version 2's shape: 2,200 x 128 cells is above the 2**18 the event
+#: loop scores itself, so the readers (and their admission queue) serve it.
+GROWN_ITEMS = 2_200
+GROWN_LATENT = 128
 TOP_K = 10
+
+
+async def tier_counts(client):
+    """``(scored in the loop, scored by readers)`` so far, from ``/stats``."""
+    _, stats = await client.get("/stats")
+    inline = stats["server"]["served_inline"]
+    return inline, stats["server"]["served"] - inline
 
 
 async def serve_and_query(store, model_v1, model_v2):
@@ -50,24 +64,29 @@ async def serve_and_query(store, model_v1, model_v2):
         status, health = await client.get("/healthz")
         print(f"  /healthz -> {status} {health}")
 
-        # Slates come off the reader processes but must be bitwise what
-        # an in-process scorer computes from the same factors.
+        # Whichever tier scores a slate, it must be bitwise what an
+        # in-process scorer computes from the same factors.
         scorer = Scorer(model_v1)
         for user in (3, 17, 42):
             status, payload = await client.get(f"/recommend?user={user}&k=5")
             assert status == 200, payload
             assert payload["items"] == scorer.top_k_single(user, 5).tolist()
             print(f"  top-5 for user {user}: {payload['items']} (model v{payload['model_version']})")
+        inline, by_readers = await tier_counts(client)
+        print(f"  v1 is {N_ITEMS} x {LATENT}: {inline} scored in the event loop, {by_readers} by readers")
+        assert (inline, by_readers) == (3, 0)
 
         # Validation is the event loop's job: bad requests never reach a
-        # reader.
+        # scorer.
         status, payload = await client.get("/recommend?user=not-a-user")
         print(f"  /recommend?user=not-a-user -> {status} ({payload['error']})")
         assert status == 400
 
         # Hot swap: publish v2 while requests keep flowing.  The
-        # supervisor broadcasts the new handle and readers swap between
-        # batches — no restart, no dropped request.
+        # supervisor leases the new version and broadcasts its handle;
+        # readers swap between batches — no restart, no dropped request.
+        # v2 is above the inline threshold, so from the swap on the
+        # requests queue for a reader, under the 503/504 rules.
         store.publish(model_v2)
         deadline = asyncio.get_running_loop().time() + 10.0
         while True:
@@ -77,7 +96,13 @@ async def serve_and_query(store, model_v1, model_v2):
                 break
             assert asyncio.get_running_loop().time() < deadline, "swap never surfaced"
         assert payload["items"] == Scorer(model_v2).top_k_single(3, 5).tolist()
-        print(f"  after hot swap: serving model v{payload['model_version']}, same socket")
+        _, by_readers = await tier_counts(client)
+        print(
+            f"  after hot swap: serving model v{payload['model_version']} "
+            f"({GROWN_ITEMS} x {GROWN_LATENT}) on the same socket, "
+            f"{by_readers} scored by readers"
+        )
+        assert by_readers >= 1
 
         status, stats = await client.get("/stats")
         counters = stats["server"]
@@ -95,7 +120,7 @@ async def serve_and_query(store, model_v1, model_v2):
 
 def main() -> None:
     model_v1 = synthetic_model(N_USERS, N_ITEMS, LATENT, seed=0)
-    model_v2 = synthetic_model(N_USERS, N_ITEMS, LATENT, seed=1)
+    model_v2 = synthetic_model(N_USERS, GROWN_ITEMS, GROWN_LATENT, seed=1)
 
     with ModelStore() as store:
         handle = store.publish(model_v1)

@@ -1,12 +1,13 @@
 """HTTP front door for the serving layer (see DESIGN.md).
 
 An asyncio event loop (:class:`RecommendServer`) owning admission
-control, deadlines and hot swap, in front of a pool of reader processes
-(:class:`ReaderPool`) each zero-copy attached to the published
-:class:`~repro.serve.ModelStore` segment.  Stdlib only — the HTTP subset
-lives in :mod:`repro.service.protocol`, user -> reader affinity in
-:mod:`repro.service.routing`, and the benchmark's client half in
-:mod:`repro.service.loadgen`.
+control, deadlines and hot swap — and scoring models small enough that
+a process hand-off would cost more than the scoring — in front of a
+pool of reader processes (:class:`ReaderPool`) each zero-copy attached
+to the published :class:`~repro.serve.ModelStore` segment.  Stdlib
+only — the HTTP subset lives in :mod:`repro.service.protocol`, user ->
+reader affinity in :mod:`repro.service.routing`, and the benchmark's
+client half in :mod:`repro.service.loadgen`.
 """
 
 from .loadgen import HttpClient, LoadReport, run_closed_loop, run_open_loop

@@ -41,6 +41,12 @@ The pool's owner (the server's supervisor task) is responsible for
 reacting to death notifications: :meth:`ReaderPool.respawn` replaces a
 dead reader over a **fresh pipe**, re-attached to the current model
 version, with the respawn budget enforced by the caller.
+
+Two things here are also used by the server's event loop, which scores
+small models itself instead of paying a reader round trip:
+:class:`ServingSlot` (a service over a model somebody else keeps mapped,
+counters kept across versions) and :func:`slate_payload` (a slate as
+its JSON body).
 """
 
 from __future__ import annotations
@@ -54,8 +60,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import faults
 from ..exceptions import ExecutionError
-from ..serve.service import RecommendationService
+from ..serve.ann import IvfIndex
+from ..serve.service import Recommendation, RecommendationService, ServiceStats
 from ..serve.store import ModelHandle, attach_model
+from ..sgd.model import FactorModel
 
 #: Fault-injection points evaluated inside reader processes (see
 #: :mod:`repro.faults`): ``service.reader.start`` on attach,
@@ -105,51 +113,92 @@ def _merge_stats(total: Dict[str, object], update: Dict[str, object]) -> None:
             total[key] = total.get(key, 0) + value
 
 
+def slate_payload(slate: Recommendation, k: Optional[int] = None) -> Dict[str, object]:
+    """The ``/recommend`` JSON body of one scored slate (its first ``k``)."""
+    return {
+        "user": slate.user,
+        "model_version": slate.model_version,
+        "items": slate.items[:k].tolist(),
+        "scores": slate.scores[:k].tolist(),
+    }
+
+
+class ServingSlot:
+    """One :class:`RecommendationService` at a time, counters kept across swaps.
+
+    What a reader process and the server's event loop both need: a
+    service built from :class:`ReaderOptions` over a model somebody else
+    keeps mapped (an attached segment in a reader, a
+    :class:`~repro.serve.ModelLease` in the loop), replaced version by
+    version, with one ``/stats`` snapshot summed over every version
+    served.  The slot owns the service, never the mapping: callers
+    :meth:`detach` before they close the segment or release the lease,
+    because the service's scorer holds views into it.
+    """
+
+    def __init__(self, options: ReaderOptions) -> None:
+        self._options = options
+        self.service: Optional[RecommendationService] = None
+        self._totals: Dict[str, object] = ServiceStats().as_dict()
+        self.expired_dropped = 0
+        self.swaps = 0
+
+    def attach(self, model: FactorModel, index: Optional[IvfIndex], version: int) -> None:
+        """Serve ``model`` (and ``index`` on the ANN tier) as ``version``."""
+        self.detach()
+        options = self._options
+        self.service = RecommendationService(
+            model,
+            k=options.k,
+            batch_size=options.batch_size,
+            cache_size=options.cache_size,
+            chunk_items=options.chunk_items,
+            model_version=version,
+            ann=options.ann,
+            nprobe=options.nprobe,
+            index=index,
+        )
+
+    def detach(self) -> None:
+        """Close the open service, if any, keeping its counters."""
+        if self.service is None:
+            return
+        _merge_stats(self._totals, self.service.stats.as_dict())
+        self.swaps += 1
+        self.service.close()
+        self.service = None
+
+    def snapshot(self) -> Dict[str, object]:
+        """Service stats summed across swaps, plus the slot's own counters."""
+        combined: Dict[str, object] = {}
+        _merge_stats(combined, self._totals)
+        service = self.service
+        if service is not None:
+            _merge_stats(combined, service.stats.as_dict())
+        combined["expired_dropped"] = self.expired_dropped
+        combined["swaps"] = self.swaps
+        # Not summed: _merge_stats only adds numbers.
+        combined["queue_depth"] = service.queue_depth if service is not None else 0
+        combined["tier"] = "ann" if self._options.ann else "exact"
+        return combined
+
+
 def _reader_main(index: int, handle: ModelHandle, options: ReaderOptions, conn) -> None:
     """Reader process entry point (module-level: pickles under spawn)."""
-    service = None
+    slot = ServingSlot(options)
     segment = None
-    totals: Dict[str, object] = {"expired_dropped": 0, "swaps": 0}
 
     def _attach(new_handle: ModelHandle) -> None:
-        nonlocal service, segment
-        if service is not None:
-            _merge_stats(totals, service.stats.as_dict())
-            totals["swaps"] = totals.get("swaps", 0) + 1
-            service.close()
-            service = None
+        nonlocal segment
+        slot.detach()
+        if segment is not None:
             segment.close()
             segment = None
         # Model and index are mapped from ONE handle over ONE stamped
         # segment — the version the service reports is atomically the
         # version of both.
         model, ivf, segment = attach_model(new_handle, with_index=True)
-        service = RecommendationService(
-            model,
-            k=options.k,
-            batch_size=options.batch_size,
-            cache_size=options.cache_size,
-            chunk_items=options.chunk_items,
-            model_version=new_handle.version,
-            ann=options.ann,
-            nprobe=options.nprobe,
-            index=ivf,
-        )
-
-    def _snapshot() -> Dict[str, object]:
-        """Service stats accumulated across swaps, plus reader counters."""
-        combined: Dict[str, object] = {}
-        _merge_stats(
-            combined,
-            {k: v for k, v in totals.items() if k not in ("expired_dropped", "swaps")},
-        )
-        _merge_stats(combined, service.stats.as_dict())
-        combined["expired_dropped"] = totals["expired_dropped"]
-        combined["swaps"] = totals["swaps"]
-        combined["queue_depth"] = service.queue_depth
-        # Post-merge, like queue_depth: _merge_stats only sums numbers.
-        combined["tier"] = service.tier
-        return combined
+        slot.attach(model, ivf, new_handle.version)
 
     try:
         # Pin the fault plan once: env plans re-parse (with zeroed
@@ -158,7 +207,7 @@ def _reader_main(index: int, handle: ModelHandle, options: ReaderOptions, conn) 
         faults.install(faults.active_plan())
         faults.hit(FAULT_READER_START, worker=index)
         _attach(handle)
-        conn.send(("ready", index, service.model_version))
+        conn.send(("ready", index, slot.service.model_version))
         stopping = False
         while not stopping:
             try:
@@ -192,25 +241,13 @@ def _reader_main(index: int, handle: ModelHandle, options: ReaderOptions, conn) 
                 pending = []
                 for _, req_id, user, deadline in batch:
                     if deadline is not None and now >= deadline:
-                        totals["expired_dropped"] = totals.get("expired_dropped", 0) + 1
+                        slot.expired_dropped += 1
                         results.append((req_id, "expired", None))
                         continue
-                    pending.append((req_id, service.enqueue(int(user))))
-                service.flush()
+                    pending.append((req_id, slot.service.enqueue(int(user))))
+                slot.service.flush()
                 for req_id, request in pending:
-                    slate = request.result
-                    results.append(
-                        (
-                            req_id,
-                            "ok",
-                            {
-                                "user": slate.user,
-                                "model_version": slate.model_version,
-                                "items": [int(item) for item in slate.items],
-                                "scores": [float(score) for score in slate.scores],
-                            },
-                        )
-                    )
+                    results.append((req_id, "ok", slate_payload(request.result)))
             except faults.FaultInjected as error:
                 results = [(req_id, "error", repr(error)) for _, req_id, _, _ in batch]
             except Exception as error:  # surfaced as 500s, never a dead reader
@@ -220,12 +257,13 @@ def _reader_main(index: int, handle: ModelHandle, options: ReaderOptions, conn) 
                     for _, req_id, _, _ in batch
                     if req_id not in done
                 )
-            conn.send(("results", index, results, _snapshot(), service.model_version))
+            conn.send(
+                ("results", index, results, slot.snapshot(), slot.service.model_version)
+            )
     except (EOFError, OSError, BrokenPipeError):  # pragma: no cover - server died
         pass
     finally:
-        if service is not None:
-            service.close()
+        slot.detach()
         if segment is not None:
             segment.close()
         try:

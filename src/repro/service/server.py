@@ -24,16 +24,24 @@ owning every decision that must happen *before* work is queued:
   ``503`` (safe to retry: the work never produced partial state) and is
   respawned attached to the current model version, within a restart
   budget; past the budget the shard is removed from the ring;
-* **hot swap** — a supervisor tick watches the :class:`ModelStore` and
-  broadcasts newly published versions to the readers, which swap
-  between batches.  Serving never pauses: requests in flight complete
-  against the version they were scored under, new batches pick up the
-  new segment, and the retired segment is unlinked by the store's
-  refcount exactly as in-process serving does.
+* **hot swap** — a supervisor tick watches the :class:`ModelStore`,
+  leases each newly published version and broadcasts the lease's handle
+  to the readers, which swap between batches.  Serving never pauses:
+  requests in flight complete against the version they were scored
+  under, new batches pick up the new segment, and the retired segment
+  is unlinked by the store's refcount exactly as in-process serving
+  does;
+* **two tiers** — a reader round trip has a fixed cost (pickle, pipe,
+  drain thread, three wake-ups) that only a large enough scoring job
+  amortises.  When the broadcast model is exact-tier and at most
+  :data:`INLINE_MAX_CELLS` big, ``/recommend`` is scored inside the
+  loop over the server's own lease; larger models and ``ann=True`` go
+  to the readers (DESIGN.md, "Admission control and the request path").
 
 ``GET`` endpoints: ``/recommend?user=U[&k=K][&deadline_ms=D]``,
 ``/healthz``, and ``/stats`` (server counters plus each reader's
-piggybacked :class:`~repro.serve.ServiceStats` snapshot).
+piggybacked :class:`~repro.serve.ServiceStats` snapshot, and the loop's
+own under ``readers["loop"]``).
 """
 
 from __future__ import annotations
@@ -46,11 +54,17 @@ from typing import Dict, Optional, Union
 from ..exceptions import ExecutionError
 from ..serve.scorer import DEFAULT_CHUNK_ITEMS
 from ..serve.service import DEFAULT_SERVICE_BATCH
-from ..serve.store import ModelStore
+from ..serve.store import ModelLease, ModelStore
 from ..tune.profile import resolve_serving_batch_size, resolve_serving_chunk_items
-from .pool import ReaderOptions, ReaderPool
+from .pool import ReaderOptions, ReaderPool, ServingSlot, slate_payload
 from .protocol import HttpRequest, ProtocolError, read_request, render_response
 from .routing import HashRing
+
+#: Largest exact-tier model, in ``items x latent_factors`` cells, that
+#: the event loop scores itself.  Scoring one user is one pass over Q:
+#: 2**18 cells block the loop for about 0.15 ms, less than the 0.55 ms
+#: of CPU plus three extra wake-ups a reader round trip costs.
+INLINE_MAX_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -125,6 +139,7 @@ class ServerStats:
 
     requests: int = 0
     served: int = 0
+    served_inline: int = 0
     rejected_overload: int = 0
     expired_deadline: int = 0
     failed: int = 0
@@ -132,6 +147,7 @@ class ServerStats:
     reader_deaths: int = 0
     reader_respawns: int = 0
     model_swaps: int = 0
+    swap_failures: int = 0
     max_in_flight: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -151,9 +167,11 @@ class RecommendServer:
     """Asyncio HTTP/JSON server over a pool of shared-memory readers.
 
     The server does not own the :class:`ModelStore` — the publisher
-    (trainer, ingest session, or test) does; the server only follows its
-    ``current_handle``.  Start with :meth:`start`, stop with
-    :meth:`stop`; both are idempotent enough for error-path cleanup.
+    (trainer, ingest session, or test) does; the server follows its
+    current version, holding one :class:`ModelLease` on the version it
+    has broadcast from :meth:`start` until :meth:`stop` — so stop the
+    server before closing the store.  Both are idempotent enough for
+    error-path cleanup.
     """
 
     def __init__(self, store: ModelStore, config: ServiceConfig = ServiceConfig()) -> None:
@@ -166,6 +184,17 @@ class RecommendServer:
                 "ann=True but the published model carries no index; "
                 "publish with store.publish(model, index=IvfIndex.build(model))"
             )
+        self._options = ReaderOptions(
+            k=config.k,
+            batch_size=config.batch_size,
+            cache_size=config.cache_size,
+            chunk_items=config.chunk_items,
+            ann=config.ann,
+            nprobe=config.nprobe,
+        )
+        self._lease: Optional[ModelLease] = None
+        # Holds a service exactly while the broadcast version is inline.
+        self._inline = ServingSlot(self._options)
         self._pool: Optional[ReaderPool] = None
         self._ring: Optional[HashRing] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -204,18 +233,11 @@ class RecommendServer:
         self._ready = {
             index: self._loop.create_future() for index in range(self.config.workers)
         }
-        options = ReaderOptions(
-            k=self.config.k,
-            batch_size=self.config.batch_size,
-            cache_size=self.config.cache_size,
-            chunk_items=self.config.chunk_items,
-            ann=self.config.ann,
-            nprobe=self.config.nprobe,
-        )
+        self._adopt(self._store.acquire())
         self._pool = ReaderPool(
             self._handle,
             workers=self.config.workers,
-            options=options,
+            options=self._options,
             on_message=self._post_message,
             start_method=self.config.start_method,
         )
@@ -257,6 +279,10 @@ class RecommendServer:
         self._in_flight.clear()
         if self._pool is not None:
             await asyncio.get_running_loop().run_in_executor(None, self._pool.stop)
+        self._inline.detach()
+        if self._lease is not None:
+            self._lease.release()
+            self._lease = None
 
     # ------------------------------------------------------------------ #
     # Pool messages (drain thread -> loop)
@@ -328,10 +354,40 @@ class RecommendServer:
         while True:
             await asyncio.sleep(self.config.supervise_interval)
             current = self._store.current_version
-            if current is not None and current != self._handle.version:
-                self._handle = self._store.current_handle()
-                self._pool.update_model(self._handle)
-                self.stats.model_swaps += 1
+            if current is None or current == self._handle.version:
+                continue
+            try:
+                # acquire() reads "current" and pins it under one lock; a
+                # handle read first and pinned second races the next
+                # publish, which may already have unlinked it.
+                self._adopt(self._store.acquire())
+            except ExecutionError:
+                self.stats.swap_failures += 1
+                continue
+            self._pool.update_model(self._handle)
+            self.stats.model_swaps += 1
+
+    def _adopt(self, lease: ModelLease) -> None:
+        """Make ``lease`` the broadcast version and pick its tier.
+
+        The tier is a property of the version's shape, decided here once:
+        every request between two swaps takes the same path, so versions
+        cannot go backwards on a connection.
+        """
+        handle = lease.handle
+        self._inline.detach()  # before the old lease goes: its scorer views the segment
+        if (
+            not self.config.ann
+            and handle.n_cols * handle.latent_factors <= INLINE_MAX_CELLS
+        ):
+            try:
+                self._inline.attach(lease.model, None, handle.version)
+            except BaseException:
+                lease.release()
+                raise
+        previous, self._lease, self._handle = self._lease, lease, handle
+        if previous is not None:
+            previous.release()
 
     # ------------------------------------------------------------------ #
     # HTTP handling
@@ -390,6 +446,11 @@ class RecommendServer:
         }
 
     def _stats_payload(self) -> dict:
+        readers = {str(index): stats for index, stats in self._reader_stats.items()}
+        # The loop is one more scorer: sums over "readers" count every request.
+        readers["loop"] = self._inline.snapshot()
+        requests = sum(int(stats.get("requests", 0)) for stats in readers.values())
+        hits = sum(int(stats.get("cache_hits", 0)) for stats in readers.values())
         return {
             "server": self.stats.as_dict(),
             "tier": "ann" if self.config.ann else "exact",
@@ -398,20 +459,9 @@ class RecommendServer:
             "per_reader_in_flight": dict(self._per_reader_load),
             "model_version": self._handle.version,
             "reader_versions": dict(self._reader_versions),
-            "readers": {
-                str(index): stats for index, stats in self._reader_stats.items()
-            },
-            "cache_hit_rate": self._cache_hit_rate(),
+            "readers": readers,
+            "cache_hit_rate": round(hits / requests, 4) if requests else 0.0,
         }
-
-    def _cache_hit_rate(self) -> float:
-        requests = sum(
-            int(stats.get("requests", 0)) for stats in self._reader_stats.values()
-        )
-        hits = sum(
-            int(stats.get("cache_hits", 0)) for stats in self._reader_stats.values()
-        )
-        return round(hits / requests, 4) if requests else 0.0
 
     async def _recommend(self, request: HttpRequest) -> bytes:
         keep = request.keep_alive
@@ -448,6 +498,8 @@ class RecommendServer:
                 400, {"error": "deadline_ms must be positive"}, keep_alive=keep
             )
 
+        if self._inline.service is not None:
+            return self._recommend_inline(user, k, keep)
         if self._ring is None:
             self.stats.rejected_overload += 1
             return self._overloaded(keep, reason="no readers available")
@@ -502,6 +554,19 @@ class RecommendServer:
         return render_response(
             500, {"error": f"scoring failed: {payload}"}, keep_alive=keep
         )
+
+    def _recommend_inline(self, user: int, k: int, keep: bool) -> bytes:
+        """Score in the loop: nothing queues, so no 503 and no 504 here."""
+        try:
+            slate = self._inline.service.recommend(user)
+        except Exception as error:  # a 500, as from a reader; never a dead loop
+            self.stats.failed += 1
+            return render_response(
+                500, {"error": f"scoring failed: {error!r}"}, keep_alive=keep
+            )
+        self.stats.served += 1
+        self.stats.served_inline += 1
+        return render_response(200, slate_payload(slate, k), keep_alive=keep)
 
     def _forget(self, req_id: int) -> None:
         record = self._in_flight.pop(req_id, None)

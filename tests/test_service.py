@@ -5,7 +5,10 @@ full server against a live reader pool: correctness vs the in-process
 scorer, admission control (503, never unbounded queueing), deadline
 propagation (504, late results dropped), zero-downtime hot swap under
 load, and — in the chaos tier — a reader SIGKILLed mid-request with
-recovery and zero leaked segments.
+recovery and zero leaked segments.  The server scores small exact-tier
+models inside its event loop and sends everything else to the readers;
+tests that are about queueing, deadlines or reader death publish a
+reader-tier shape, the rest run on both.
 """
 
 import asyncio
@@ -30,8 +33,20 @@ from repro.service import (
     run_closed_loop,
     run_open_loop,
 )
+from repro.service.server import INLINE_MAX_CELLS
 from repro.sgd import FactorModel
 from repro.shm import live_segment_names
+
+#: Catalogue shapes either side of ``INLINE_MAX_CELLS``: the first is
+#: scored in the event loop, the second by the reader processes.
+INLINE_SHAPE = {"n": 45, "k": 5}
+READER_SHAPE = {"n": 2100, "k": 128}
+assert INLINE_SHAPE["n"] * INLINE_SHAPE["k"] <= INLINE_MAX_CELLS
+assert READER_SHAPE["n"] * READER_SHAPE["k"] > INLINE_MAX_CELLS
+
+both_tiers = pytest.mark.parametrize(
+    "shape", [INLINE_SHAPE, READER_SHAPE], ids=["inline", "readers"]
+)
 
 
 @pytest.fixture(autouse=True)
@@ -179,8 +194,9 @@ def _serve(store, config, scenario):
 
 
 class TestRecommendServer:
-    def test_recommendations_match_the_in_process_scorer(self):
-        model = _model()
+    @both_tiers
+    def test_recommendations_match_the_in_process_scorer(self, shape):
+        model = _model(**shape)
         with ModelStore() as store:
             store.publish(model)
             expected_items, expected_scores = Scorer(model).top_k(
@@ -194,12 +210,14 @@ class TestRecommendServer:
                 assert payload["model_version"] == 1
                 assert payload["items"] == [int(i) for i in expected_items[0]]
                 np.testing.assert_allclose(payload["scores"], expected_scores[0])
+                assert server.stats.served_inline == (1 if shape is INLINE_SHAPE else 0)
 
             _serve(store, ServiceConfig(workers=1, k=5), scenario)
 
-    def test_k_is_sliced_from_the_cached_slate(self):
+    @both_tiers
+    def test_k_is_sliced_from_the_cached_slate(self, shape):
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**shape))
 
             async def scenario(server, client):
                 status, full = await client.get("/recommend?user=3&k=5")
@@ -210,9 +228,10 @@ class TestRecommendServer:
 
             _serve(store, ServiceConfig(workers=1, k=5), scenario)
 
-    def test_http_error_statuses(self):
+    @both_tiers
+    def test_http_error_statuses(self, shape):
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**shape))
 
             async def scenario(server, client):
                 for target, expected in [
@@ -256,9 +275,10 @@ class TestRecommendServer:
 
             _serve(store, ServiceConfig(workers=1, k=5), scenario)
 
-    def test_healthz_and_stats_payloads(self):
+    @both_tiers
+    def test_healthz_and_stats_payloads(self, shape):
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**shape))
 
             async def scenario(server, client):
                 status, health = await client.get("/healthz")
@@ -290,7 +310,7 @@ class TestRecommendServer:
 
     def test_deadline_fires_as_504_and_late_result_is_dropped(self, monkeypatch):
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**READER_SHAPE))
             monkeypatch.setenv(
                 faults.FAULTS_ENV,
                 json.dumps(
@@ -321,7 +341,7 @@ class TestRecommendServer:
 
     def test_overload_sheds_503_with_retry_after(self, monkeypatch):
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**READER_SHAPE))
             monkeypatch.setenv(
                 faults.FAULTS_ENV,
                 json.dumps(
@@ -362,7 +382,7 @@ class TestRecommendServer:
 
     def test_retry_after_header_present_on_503(self, monkeypatch):
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**READER_SHAPE))
             monkeypatch.setenv(
                 faults.FAULTS_ENV,
                 json.dumps(
@@ -397,16 +417,17 @@ class TestRecommendServer:
 
             _serve(store, config, scenario)
 
-    def test_hot_swap_under_load_is_zero_downtime(self):
+    @both_tiers
+    def test_hot_swap_under_load_is_zero_downtime(self, shape):
         """The pinned acceptance test: publish mid-load, nothing fails."""
         with ModelStore() as store:
-            store.publish(_model(seed=1))
+            store.publish(_model(**shape, seed=1))
 
             async def scenario(server, client):
                 versions = []
                 for user in range(120):
                     if user == 30:
-                        store.publish(_model(seed=2))
+                        store.publish(_model(**shape, seed=2))
                     status, payload = await client.get(
                         f"/recommend?user={user % 60}"
                     )
@@ -488,6 +509,138 @@ class TestRecommendServer:
                 scenario,
             )
 
+    def test_model_crossing_the_threshold_changes_tier_not_availability(self):
+        """Small, then large, then small again under one keep-alive
+        connection: the loop scores the small versions, the readers the
+        large one, and the client sees neither a failure nor an older
+        version than it has already seen."""
+        with ModelStore() as store:
+            store.publish(_model(seed=1))
+
+            async def scenario(server, client):
+                versions = []
+                for step in range(150):
+                    if step == 50:
+                        store.publish(_model(**READER_SHAPE, seed=2))
+                    if step == 100:
+                        store.publish(_model(seed=3))
+                    status, payload = await client.get(f"/recommend?user={step % 60}")
+                    assert status == 200, f"request {step} failed"
+                    versions.append(payload["model_version"])
+                    if step in (50, 100):
+                        await asyncio.sleep(0.1)  # give the watcher a tick
+                assert versions == sorted(versions)
+                assert set(versions) == {1, 2, 3}
+                status, stats = await client.get("/stats")
+                loop = stats["readers"].pop("loop")
+                assert set(loop["requests_by_version"]) == {"1", "3"}
+                assert stats["server"]["served_inline"] == loop["requests"]
+                by_readers = set()
+                for snapshot in stats["readers"].values():
+                    by_readers.update(snapshot["requests_by_version"])
+                assert by_readers == {"2"}
+                assert stats["server"]["served"] == 150
+
+            _serve(
+                store,
+                ServiceConfig(workers=2, k=5, supervise_interval=0.02),
+                scenario,
+            )
+
+    def test_ann_is_never_served_inline(self):
+        model = _model()
+        with ModelStore() as store:
+            store.publish(model, index=IvfIndex.build(model, nlist=8, seed=0))
+
+            async def scenario(server, client):
+                for user in range(5):
+                    status, _ = await client.get(f"/recommend?user={user}")
+                    assert status == 200
+                status, stats = await client.get("/stats")
+                assert stats["server"]["served_inline"] == 0
+                assert stats["readers"]["loop"]["requests"] == 0
+                assert stats["readers"]["loop"]["tier"] == "ann"
+
+            _serve(store, ServiceConfig(workers=1, k=5, ann=True, nprobe=4), scenario)
+
+    def test_stop_releases_the_lease(self):
+        store = ModelStore()
+        store.publish(_model())
+
+        async def scenario(server, client):
+            status, _ = await client.get("/recommend?user=1")
+            assert status == 200
+            store.publish(_model(seed=2))
+            # Version 1 is retired but stays mapped: the server pins what
+            # it has broadcast until it has broadcast something newer.
+            assert store.live_versions == (1, 2)
+
+        _serve(store, ServiceConfig(workers=1, k=5, supervise_interval=5.0), scenario)
+        assert store.live_versions == (2,)
+        store.close()  # raises if the server still held its lease
+
+    def test_closing_the_store_under_a_live_server_is_refused(self):
+        """The server's lease makes ``close()`` fail in the closer, not
+        in the supervisor: serving and hot swap carry on."""
+        with ModelStore() as store:
+            store.publish(_model())
+
+            async def scenario(server, client):
+                with pytest.raises(ExecutionError, match="unreleased leases"):
+                    store.close()
+                status, _ = await client.get("/recommend?user=1")
+                assert status == 200
+                store.publish(_model(seed=2))
+                await asyncio.sleep(0.1)
+                assert server.model_version == 2
+                assert server.stats.swap_failures == 0
+
+            _serve(store, ServiceConfig(workers=1, k=5, supervise_interval=0.02), scenario)
+
+    def test_failed_acquire_is_counted_and_the_supervisor_keeps_ticking(self, monkeypatch):
+        with ModelStore() as store:
+            store.publish(_model())
+
+            async def scenario(server, client):
+                def closed():
+                    raise ExecutionError("the model store is closed")
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(store, "acquire", closed)
+                    store.publish(_model(seed=2))
+                    await asyncio.sleep(0.1)
+                    assert server.stats.swap_failures >= 1
+                    assert server.model_version == 1
+                    status, payload = await client.get("/recommend?user=1")
+                    assert (status, payload["model_version"]) == (200, 1)
+                await asyncio.sleep(0.1)
+                assert server.model_version == 2
+                assert server.stats.model_swaps == 1
+
+            _serve(store, ServiceConfig(workers=1, k=5, supervise_interval=0.02), scenario)
+
+    def test_back_to_back_publishes_never_kill_the_supervisor(self):
+        with ModelStore() as store:
+            store.publish(_model())
+
+            async def scenario(server, client):
+                def publish_all():  # off the loop, so ticks land between publishes
+                    for seed in range(20):
+                        store.publish(_model(seed=seed))
+
+                await asyncio.get_running_loop().run_in_executor(None, publish_all)
+                for _ in range(100):
+                    await asyncio.sleep(0.01)
+                    if server.model_version == 21:
+                        break
+                assert server.model_version == 21
+                assert not server._supervisor.done()
+                assert server.stats.swap_failures == 0
+                status, payload = await client.get("/recommend?user=1")
+                assert (status, payload["model_version"]) == (200, 21)
+
+            _serve(store, ServiceConfig(workers=1, k=5, supervise_interval=0.01), scenario)
+
     def test_config_validation(self):
         with pytest.raises(ExecutionError):
             ServiceConfig(workers=0)
@@ -550,7 +703,7 @@ class TestServiceChaos:
         answered 503, the reader is respawned, serving resumes, and no
         segment leaks (the autouse fixture asserts the last part)."""
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**READER_SHAPE))
             monkeypatch.setenv(
                 faults.FAULTS_ENV,
                 json.dumps([{"point": "service.reader.request", "mode": "kill"}]),
@@ -578,7 +731,7 @@ class TestServiceChaos:
         """A reader that dies on every spawn is retired; the server
         keeps answering (503) instead of crash-looping."""
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**READER_SHAPE))
             monkeypatch.setenv(
                 faults.FAULTS_ENV,
                 json.dumps(
@@ -608,11 +761,39 @@ class TestServiceChaos:
 
             _serve(store, config, scenario)
 
+    def test_inline_serves_after_every_shard_is_retired(self, monkeypatch):
+        """An inline request needs no reader: with the whole pool past
+        its restart budget the small model is still answered 200."""
+        with ModelStore() as store:
+            store.publish(_model())
+            monkeypatch.setenv(
+                faults.FAULTS_ENV,
+                json.dumps(
+                    [{"point": "service.reader.start", "mode": "kill", "count": 10}]
+                ),
+            )
+            config = ServiceConfig(workers=1, k=5, max_reader_restarts=2)
+
+            async def scenario(server, client):
+                for _ in range(100):
+                    await asyncio.sleep(0.05)
+                    if server._ring is None:
+                        break
+                assert server._ring is None, "budget never exhausted"
+                monkeypatch.delenv(faults.FAULTS_ENV)
+                status, payload = await client.get("/recommend?user=1")
+                assert status == 200
+                assert payload["model_version"] == 1
+                status, health = await client.get("/healthz")
+                assert health["status"] == "degraded"  # a larger model would be 503
+
+            _serve(store, config, scenario)
+
     def test_reader_death_with_multiple_workers_stays_available(self, monkeypatch):
         """Killing one of two readers only fails its own arc; the other
         reader keeps serving throughout."""
         with ModelStore() as store:
-            store.publish(_model())
+            store.publish(_model(**READER_SHAPE))
             monkeypatch.setenv(
                 faults.FAULTS_ENV,
                 json.dumps(
