@@ -10,7 +10,7 @@ bands when it completes.
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Iterable, List, Sequence, Set
 
 from ..exceptions import SchedulingError
 
@@ -38,6 +38,20 @@ class LockTable:
         """Whether a column band is currently unheld."""
         self._check_col(col_band)
         return col_band not in self._locked_cols
+
+    def free_rows(self, row_bands: Sequence[int]) -> List[int]:
+        """The unheld bands of ``row_bands``, in the order given."""
+        if row_bands:  # one range check for the whole list
+            self._check_row(min(row_bands))
+            self._check_row(max(row_bands))
+        return [band for band in row_bands if band not in self._locked_rows]
+
+    def free_cols(self, col_bands: Sequence[int]) -> List[int]:
+        """The unheld bands of ``col_bands``, in the order given."""
+        if col_bands:
+            self._check_col(min(col_bands))
+            self._check_col(max(col_bands))
+        return [band for band in col_bands if band not in self._locked_cols]
 
     def can_acquire(self, row_bands: Iterable[int], col_bands: Iterable[int]) -> bool:
         """Whether every listed band is free."""

@@ -20,6 +20,12 @@ Two schedulers are provided:
   region's data visited about once per iteration; and, when dynamic
   scheduling is enabled, a resource that exhausts its own quota steals
   blocks from the other region instead of idling.
+
+Both enumerate candidates the same way: the free row bands of the
+worker's scope crossed with the free column bands, non-empty blocks
+only, row band ascending then column band ascending.  That order and the
+single tie-break draw per pick are part of the bitwise contract — the
+same schedule, hence the same factors, on every backend and on resume.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ class Scheduler(ABC):
         self.n_gpu_workers = n_gpu_workers
         self.locks = LockTable(grid.n_row_bands, grid.n_col_bands)
         self._rng = np.random.default_rng(seed)
+        # The grid's structure and per-block nnz never change after
+        # BlockGrid.build; occupancy and update counts are read live.
+        self._all_rows = list(range(grid.n_row_bands))
+        self._all_cols = list(range(grid.n_col_bands))
+        self._non_empty = [[block.nnz > 0 for block in row] for row in grid.blocks]
 
     # ------------------------------------------------------------------ #
     # Worker identity helpers
@@ -140,23 +151,47 @@ class Scheduler(ABC):
     # ------------------------------------------------------------------ #
     # Shared selection helpers
     # ------------------------------------------------------------------ #
-    def _freely_schedulable(self, blocks: List[GridBlock]) -> List[GridBlock]:
-        """Filter ``blocks`` down to those whose row and column are free."""
-        return [
-            block
-            for block in blocks
-            if self.locks.row_free(block.row_band)
-            and self.locks.col_free(block.col_band)
-        ]
+    def _free_blocks(self, scope: List[int]) -> List[GridBlock]:
+        """Non-empty blocks at a free row band of ``scope`` and a free column.
+
+        Row band ascending, then column band ascending: the order of a
+        row-major scan of the whole grid, which the tie-break draw
+        indexes into.  Costs O(free rows x free columns), not O(blocks).
+        """
+        rows = self.locks.free_rows(scope)
+        if not rows:
+            return []
+        cols = self.locks.free_cols(self._all_cols)
+        blocks, non_empty = self.grid.blocks, self._non_empty
+        return [blocks[r][c] for r in rows for c in cols if non_empty[r][c]]
 
     def _pick_least_updated(self, blocks: List[GridBlock]) -> Optional[GridBlock]:
-        """The block with the fewest updates; random tie-break."""
+        """The block with the fewest updates; random tie-break (one draw)."""
         if not blocks:
             return None
-        counts = np.array([block.update_count for block in blocks])
-        minimum = counts.min()
-        candidates = [b for b, c in zip(blocks, counts) if c == minimum]
+        minimum = min(block.update_count for block in blocks)
+        candidates = [block for block in blocks if block.update_count == minimum]
         return candidates[int(self._rng.integers(len(candidates)))]
+
+    def _single_block_task(
+        self,
+        worker_index: int,
+        scope: List[int],
+        stolen: bool = False,
+        resident_p: bool = False,
+    ) -> Optional[Task]:
+        """Lock and return the least-updated free block of ``scope``'s rows."""
+        block = self._pick_least_updated(self._free_blocks(scope))
+        if block is None:
+            return None
+        task = Task(
+            blocks=[block],
+            worker_index=worker_index,
+            stolen=stolen,
+            resident_p=resident_p,
+        )
+        self.locks.acquire(task.row_bands, task.col_bands)
+        return task
 
 
 class GreedyBlockScheduler(Scheduler):
@@ -168,14 +203,7 @@ class GreedyBlockScheduler(Scheduler):
     """
 
     def next_task(self, worker_index: int) -> Optional[Task]:
-        candidates = [block for block in self.grid.iter_blocks() if block.nnz > 0]
-        free_blocks = self._freely_schedulable(candidates)
-        block = self._pick_least_updated(free_blocks)
-        if block is None:
-            return None
-        task = Task(blocks=[block], worker_index=worker_index)
-        self.locks.acquire(task.row_bands, task.col_bands)
-        return task
+        return self._single_block_task(worker_index, self._all_rows)
 
 
 class HSGDStarScheduler(Scheduler):
@@ -211,6 +239,18 @@ class HSGDStarScheduler(Scheduler):
         self._gpu_assigned = 0
         self._cpu_assigned = 0
         self._n_gpu_rows = max(1, grid.n_gpu_rows()) if self._gpu_region_quota else 0
+        self._cpu_bands = [band.index for band in grid.row_bands_in_region(Region.CPU)]
+        self._gpu_bands = [band.index for band in grid.row_bands_in_region(Region.GPU)]
+        #: Per GPU row: its member sub-row bands, and which columns hold
+        #: any rating within them.
+        self._gpu_row_bands = [
+            [band.index for band in grid.gpu_row_members(gpu_row)]
+            for gpu_row in range(self._n_gpu_rows)
+        ]
+        self._gpu_row_cols_non_empty = [
+            [any(self._non_empty[band][col] for band in members) for col in self._all_cols]
+            for members in self._gpu_row_bands
+        ]
         #: Count of tasks dispatched across region boundaries, per region
         #: of origin of the *worker* ("gpu" stole CPU blocks, and vice
         #: versa).  Exposed for the dynamic-scheduling analysis.
@@ -271,12 +311,7 @@ class HSGDStarScheduler(Scheduler):
                     return task
             # Sub-block granularity: either the dynamic phase has begun or
             # the preferred large block is blocked by a stolen sub-row.
-            task = self._single_block_task(
-                worker_index,
-                self.grid.blocks_in_region(Region.GPU),
-                stolen=False,
-                resident_p=True,
-            )
+            task = self._single_block_task(worker_index, self._gpu_bands, resident_p=True)
             if task is not None:
                 self._gpu_assigned += task.nnz
                 return task
@@ -287,9 +322,7 @@ class HSGDStarScheduler(Scheduler):
             return None
 
         if self.dynamic_scheduling and self._cpu_quota_left():
-            task = self._single_block_task(
-                worker_index, self.grid.blocks_in_region(Region.CPU), stolen=True
-            )
+            task = self._single_block_task(worker_index, self._cpu_bands, stolen=True)
             if task is not None:
                 self._cpu_assigned += task.nnz
                 self.steal_counts["gpu"] += 1
@@ -303,28 +336,27 @@ class HSGDStarScheduler(Scheduler):
         if self._n_gpu_rows == 0:
             return None
         gpu_row = gpu_index % self._n_gpu_rows
-        member_bands = [band.index for band in self.grid.gpu_row_members(gpu_row)]
+        member_bands = self._gpu_row_bands[gpu_row]
         if not member_bands:
             return None
-        if not all(self.locks.row_free(band) for band in member_bands):
+        if len(self.locks.free_rows(member_bands)) < len(member_bands):
             return None
 
+        grid_blocks = self.grid.blocks
+        non_empty = self._gpu_row_cols_non_empty[gpu_row]
         best_col = None
         best_count = None
-        for col in range(self.grid.n_col_bands):
-            if not self.locks.col_free(col):
+        for col in self.locks.free_cols(self._all_cols):
+            if not non_empty[col]:
                 continue
-            column_blocks = [self.grid.block(band, col) for band in member_bands]
-            if sum(block.nnz for block in column_blocks) == 0:
-                continue
-            count = sum(block.update_count for block in column_blocks)
+            count = sum(grid_blocks[band][col].update_count for band in member_bands)
             if best_count is None or count < best_count:
                 best_count = count
                 best_col = col
         if best_col is None:
             return None
 
-        blocks = [self.grid.block(band, best_col) for band in member_bands]
+        blocks = [grid_blocks[band][best_col] for band in member_bands]
         task = Task(
             blocks=blocks,
             worker_index=worker_index,
@@ -337,9 +369,7 @@ class HSGDStarScheduler(Scheduler):
     # -- CPU ------------------------------------------------------------ #
     def _next_cpu_task(self, worker_index: int) -> Optional[Task]:
         if self._cpu_quota_left():
-            task = self._single_block_task(
-                worker_index, self.grid.blocks_in_region(Region.CPU), stolen=False
-            )
+            task = self._single_block_task(worker_index, self._cpu_bands)
             if task is not None:
                 self._cpu_assigned += task.nnz
                 return task
@@ -349,34 +379,9 @@ class HSGDStarScheduler(Scheduler):
             return None
 
         if self.dynamic_scheduling and self._gpu_quota_left():
-            task = self._single_block_task(
-                worker_index, self.grid.blocks_in_region(Region.GPU), stolen=True
-            )
+            task = self._single_block_task(worker_index, self._gpu_bands, stolen=True)
             if task is not None:
                 self._gpu_assigned += task.nnz
                 self.steal_counts["cpu"] += 1
                 return task
         return None
-
-    # -- shared ----------------------------------------------------------- #
-    def _single_block_task(
-        self,
-        worker_index: int,
-        candidates: List[GridBlock],
-        stolen: bool,
-        resident_p: bool = False,
-    ) -> Optional[Task]:
-        free_blocks = self._freely_schedulable(
-            [block for block in candidates if block.nnz > 0]
-        )
-        block = self._pick_least_updated(free_blocks)
-        if block is None:
-            return None
-        task = Task(
-            blocks=[block],
-            worker_index=worker_index,
-            stolen=stolen,
-            resident_p=resident_p,
-        )
-        self.locks.acquire(task.row_bands, task.col_bands)
-        return task

@@ -19,7 +19,7 @@ transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set
+from typing import FrozenSet, List
 
 import numpy as np
 
@@ -44,6 +44,13 @@ class Task:
         When ``True`` the worker already holds the task's ``P`` segment
         (HSGD*'s static phase pins each GPU to specific rows so the user-
         factor segment never moves over PCIe).
+    nnz:
+        Total ratings across the task's blocks.
+    row_bands, col_bands:
+        The row and column bands the task holds.
+
+    The last three are computed once, at construction: a task's blocks
+    never change.
     """
 
     blocks: List[GridBlock]
@@ -51,29 +58,20 @@ class Task:
     stolen: bool = False
     resident_p: bool = False
     _indices: np.ndarray = field(default=None, repr=False)
+    nnz: int = field(init=False, repr=False, compare=False)
+    row_bands: FrozenSet[int] = field(init=False, repr=False, compare=False)
+    col_bands: FrozenSet[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise SchedulingError("a task must contain at least one block")
+        self.nnz = sum(block.nnz for block in self.blocks)
+        self.row_bands = frozenset(block.row_band for block in self.blocks)
+        self.col_bands = frozenset(block.col_band for block in self.blocks)
 
     # ------------------------------------------------------------------ #
     # Geometry
     # ------------------------------------------------------------------ #
-    @property
-    def nnz(self) -> int:
-        """Total ratings across the task's blocks."""
-        return sum(block.nnz for block in self.blocks)
-
-    @property
-    def row_bands(self) -> Set[int]:
-        """Row bands held by the task."""
-        return {block.row_band for block in self.blocks}
-
-    @property
-    def col_bands(self) -> Set[int]:
-        """Column bands held by the task."""
-        return {block.col_band for block in self.blocks}
-
     @property
     def p_rows(self) -> int:
         """User rows spanned by the task (P segment size)."""

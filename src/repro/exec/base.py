@@ -23,13 +23,20 @@ backend-agnostic.  Which backend a run uses is selected with the
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from ..config import BACKENDS  # noqa: F401  (re-exported; validated there)
 from ..exceptions import ConfigurationError, ExecutionError
 from ..sgd import FactorModel
+from ..sgd.kernels import (
+    BLOCK_MAJOR_KERNELS,
+    KERNELS,
+    resolve_kernel_name,
+    sgd_block_minibatch,
+    sgd_block_sequential,
+)
 from ..sgd.schedules import ConstantSchedule, LearningRateSchedule
 from ..sparse import BlockStore, SparseRatingMatrix
 from .session import EngineSession, run_session
@@ -131,8 +138,6 @@ def effective_kernel_name(training, exact_kernel=False, block_major=True) -> str
     ``"minibatch_local"``); an *explicitly* forced band-local kernel is
     an error instead of a silent swap.
     """
-    from ..sgd.kernels import BLOCK_MAJOR_KERNELS, resolve_kernel_name
-
     name = resolve_kernel_name(training.kernel, exact_kernel=exact_kernel)
     if block_major or name not in BLOCK_MAJOR_KERNELS:
         return name
@@ -145,14 +150,13 @@ def effective_kernel_name(training, exact_kernel=False, block_major=True) -> str
     return "minibatch"
 
 
-def apply_task_updates(
-    model, train, task, rate, training, exact_kernel=False, store=None
-):
+def apply_task_updates(model, train, task, rate, training, kernel_name, store=None):
     """Apply one task's SGD updates to the shared factor matrices.
 
     The single kernel-invocation point used by every backend: both
     engines must issue byte-identical kernel calls or the 1-worker
-    sim-parity guarantee breaks.
+    sim-parity guarantee breaks.  ``kernel_name`` is the run's resolved
+    kernel (:attr:`Engine.kernel_name`), not ``"auto"``.
 
     When a :class:`~repro.sparse.BlockStore` is given (the engines'
     default), the task's ratings come as pre-gathered, pre-validated,
@@ -164,11 +168,6 @@ def apply_task_updates(
     run instead of once per task per epoch); under ``"auto"`` the store
     additionally unlocks the ``"native"`` kernel (within 1e-12).
     """
-    from ..sgd.kernels import sgd_block_minibatch, sgd_block_sequential
-
-    kernel_name = effective_kernel_name(
-        training, exact_kernel=exact_kernel, block_major=store is not None
-    )
     if store is not None:
         apply_block_data(
             model.p, model.q, store.task_data(task), rate, training, kernel_name
@@ -203,13 +202,6 @@ def apply_block_data(p, q, data, rate, training, kernel_name):
     engines.  ``kernel_name`` must already be resolved
     (:func:`~repro.sgd.kernels.resolve_kernel_name`).
     """
-    from ..sgd.kernels import (
-        BLOCK_MAJOR_KERNELS,
-        KERNELS,
-        sgd_block_minibatch,
-        sgd_block_sequential,
-    )
-
     if data.nnz == 0:
         return
     if kernel_name == "sequential":
@@ -232,7 +224,7 @@ def apply_block_data(p, q, data, rate, training, kernel_name):
         )
 
 
-class Engine(ABC):
+class Engine:
     """Common interface — and common state — of the execution backends.
 
     Engines are single-use: construct one per run with the scheduler,
@@ -333,9 +325,9 @@ class Engine(ABC):
         self._store = BlockStore(train) if use_block_store else None
         self._started = False
 
-    @property
+    @cached_property
     def kernel_name(self) -> str:
-        """The concrete kernel this engine's tasks execute (``"auto"`` resolved)."""
+        """The concrete kernel this engine's tasks execute (``"auto"`` resolved once)."""
         return effective_kernel_name(
             self.training, self.exact_kernel, block_major=self._store is not None
         )
@@ -352,17 +344,6 @@ class Engine(ABC):
         work = task.block_work(self.training.latent_factors)
         return device.process_time(work) * self.gpu_latency_scale
 
-    def _open_session(self, **stopping) -> EngineSession:
-        """The single-use guard behind every :meth:`start`."""
-        if self._started:
-            raise self.error_class(
-                f"a {type(self).__name__} can only be run once: its model and "
-                "scheduler state are mutated by the run"
-            )
-        self._started = True
-        return self.session_class(self, **stopping)
-
-    @abstractmethod
     def start(
         self,
         iterations: Optional[int] = None,
@@ -370,7 +351,10 @@ class Engine(ABC):
         max_simulated_time: Optional[float] = None,
         pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
     ) -> EngineSession:
-        """Begin a stepwise run and return its session.
+        """Begin a stepwise run and return its :attr:`session_class` session.
+
+        An engine runs once: a second ``start()`` raises, because the run
+        mutates its model and scheduler state.
 
         Parameters
         ----------
@@ -387,15 +371,29 @@ class Engine(ABC):
             or below this value (requires a test set).
         max_simulated_time:
             Hard cap on engine seconds (simulated seconds for the
-            simulator, wall-clock seconds for the threaded backend).
+            simulator, wall-clock seconds for the real backends; the
+            parameter keeps one name so callers can switch backends).
         pause_on_epoch:
             Ask for a fully quiescent pause at epoch boundaries: ``True``
             pauses every boundary, a ``(epoch) -> bool`` predicate only
-            the selected ones.  The simulator pauses inherently; the
-            threaded backend drains in-flight tasks at the selected
-            boundaries — required for checkpointing, unnecessary for
-            mere observation.
+            the selected ones.  The simulator pauses inherently and
+            ignores it; the real backends drain in-flight tasks at the
+            selected boundaries — required for checkpointing,
+            unnecessary for mere observation.
         """
+        if self._started:
+            raise self.error_class(
+                f"a {type(self).__name__} can only be run once: its model and "
+                "scheduler state are mutated by the run"
+            )
+        self._started = True
+        return self.session_class(
+            self,
+            iterations=iterations,
+            target_rmse=target_rmse,
+            max_simulated_time=max_simulated_time,
+            pause_on_epoch=pause_on_epoch,
+        )
 
     def run(
         self,

@@ -63,7 +63,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -892,26 +892,3 @@ class ProcessEngine(Engine):
             gpu_latency_scale=gpu_latency_scale,
         )
         self.start_method = start_method or _default_start_method()
-
-    # ------------------------------------------------------------------ #
-    # Session protocol
-    # ------------------------------------------------------------------ #
-    def start(
-        self,
-        iterations: Optional[int] = None,
-        target_rmse: Optional[float] = None,
-        max_simulated_time: Optional[float] = None,
-        pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
-    ) -> ProcessSession:
-        """Begin a stepwise multiprocess run (see :class:`ProcessSession`).
-
-        ``max_simulated_time`` bounds *wall-clock* seconds for this
-        backend; the parameter keeps its protocol name so callers can
-        switch backends without changing call sites.
-        """
-        return self._open_session(
-            iterations=iterations,
-            target_rmse=target_rmse,
-            max_simulated_time=max_simulated_time,
-            pause_on_epoch=pause_on_epoch,
-        )

@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 from ..exceptions import ExecutionError
 from ..core.tasks import Task
@@ -296,7 +296,7 @@ class ThreadedSession(EngineSession):
             task,
             engine.schedule(iteration),
             engine.training,
-            exact_kernel=engine.exact_kernel,
+            engine.kernel_name,
             store=engine._store,
         )
         sleep_s = engine._gpu_sleep_seconds(worker_index, task)
@@ -363,23 +363,3 @@ class ThreadedEngine(Engine):
     backend_name = "threads"
     result_class = ThreadedResult
     session_class = ThreadedSession
-
-    def start(
-        self,
-        iterations: Optional[int] = None,
-        target_rmse: Optional[float] = None,
-        max_simulated_time: Optional[float] = None,
-        pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
-    ) -> ThreadedSession:
-        """Begin a stepwise threaded run (see :class:`ThreadedSession`).
-
-        ``max_simulated_time`` bounds *wall-clock* seconds for this
-        backend; the parameter keeps its protocol name so callers can
-        switch backends without changing call sites.
-        """
-        return self._open_session(
-            iterations=iterations,
-            target_rmse=target_rmse,
-            max_simulated_time=max_simulated_time,
-            pause_on_epoch=pause_on_epoch,
-        )

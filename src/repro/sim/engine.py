@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 from ..config import TrainingConfig
 from ..exceptions import SimulationError
@@ -74,7 +74,7 @@ class SimulationSession(EngineSession):
 
     def __init__(self, engine: "SimulationEngine", **stopping) -> None:
         super().__init__(engine, **stopping)
-        self._heap: list = []  # (end_time, sequence, worker_index, task)
+        self._heap: list = []  # (end_time, sequence, worker_index, task, duration)
         self._seq = 0
         self._idle: set = set()
         #: Workers whose post-completion dispatch was deferred across an
@@ -102,7 +102,7 @@ class SimulationSession(EngineSession):
     def _release(self) -> None:
         # Drain in-flight tasks without applying them (the run has ended).
         while self._heap:
-            _, _, _, task = heapq.heappop(self._heap)
+            task = heapq.heappop(self._heap)[3]
             self._engine.scheduler.abort_task(task)
 
     def finish(self) -> SimulationResult:
@@ -130,8 +130,10 @@ class SimulationSession(EngineSession):
         if task is None:
             self._idle.add(worker_index)
             return False
-        end_time = start_time + self._engine._task_duration(task)
-        heapq.heappush(self._heap, (end_time, self._seq, worker_index, task))
+        duration = self._engine._task_duration(task)
+        heapq.heappush(
+            self._heap, (start_time + duration, self._seq, worker_index, task, duration)
+        )
         self._seq += 1
         self._idle.discard(worker_index)
         return True
@@ -157,16 +159,14 @@ class SimulationSession(EngineSession):
 
     def _advance_one_event(self) -> None:
         engine = self._engine
-        end_time, _, worker_index, task = heapq.heappop(self._heap)
+        end_time, _, worker_index, task, duration = heapq.heappop(self._heap)
         self._last_event = end_time
         if self._time_budget_spent(end_time):
             engine.scheduler.abort_task(task)
             return
 
         engine._apply_task(task, self._iteration)
-        self.book(
-            worker_index, task, end_time - engine._task_duration(task), end_time
-        )
+        self.book(worker_index, task, end_time - duration, end_time)
         crossed_boundary = False
         while self.boundary_due:
             crossed_boundary = True
@@ -208,7 +208,7 @@ class SimulationSession(EngineSession):
                     for block in task.blocks
                 ],
             }
-            for end_time, seq, worker_index, task in sorted(self._heap)
+            for end_time, seq, worker_index, task, _ in sorted(self._heap)
         ]
         return state
 
@@ -227,7 +227,13 @@ class SimulationSession(EngineSession):
             scheduler.locks.acquire(task.row_bands, task.col_bands)
             heapq.heappush(
                 self._heap,
-                (float(entry["end_time"]), int(entry["seq"]), task.worker_index, task),
+                (
+                    float(entry["end_time"]),
+                    int(entry["seq"]),
+                    task.worker_index,
+                    task,
+                    self._engine._task_duration(task),
+                ),
             )
 
     def load_state_dict(self, state: dict) -> None:
@@ -301,7 +307,7 @@ class SimulationEngine(Engine):
             task,
             self.schedule(iteration),
             self.training,
-            exact_kernel=self.exact_kernel,
+            self.kernel_name,
             store=self._store,
         )
 
@@ -324,24 +330,3 @@ class SimulationEngine(Engine):
                 f"device {device.name} produced a non-positive task duration"
             )
         return duration
-
-    # ------------------------------------------------------------------ #
-    # Session protocol
-    # ------------------------------------------------------------------ #
-    def start(
-        self,
-        iterations: Optional[int] = None,
-        target_rmse: Optional[float] = None,
-        max_simulated_time: Optional[float] = None,
-        pause_on_epoch: Union[bool, Callable[[int], bool]] = False,
-    ) -> SimulationSession:
-        """Begin a stepwise simulated run (see :class:`SimulationSession`).
-
-        ``pause_on_epoch`` is accepted for protocol compatibility; the
-        single-threaded simulator always pauses at epoch boundaries.
-        """
-        return self._open_session(
-            iterations=iterations,
-            target_rmse=target_rmse,
-            max_simulated_time=max_simulated_time,
-        )

@@ -183,6 +183,8 @@ class TestLockTable:
         assert not locks.row_free(0)
         assert not locks.col_free(1)
         assert locks.row_free(1)
+        assert locks.free_rows([3, 0, 1]) == [3, 1]
+        assert locks.free_cols([1, 2, 0]) == [2, 0]
         locks.release([0], [1])
         assert locks.row_free(0)
 
@@ -221,6 +223,10 @@ class TestLockTable:
             locks.row_free(5)
         with pytest.raises(SchedulingError):
             locks.col_free(-1)
+        with pytest.raises(SchedulingError):
+            locks.free_rows([1, 0, 2])
+        with pytest.raises(SchedulingError):
+            locks.free_cols([-1, 1])
 
     def test_locked_sets_are_copies(self):
         locks = LockTable(2, 2)

@@ -840,8 +840,11 @@ class TestEngineProtocolSurface:
         result = run_session(session, None)
         assert len(result.trace.iterations) == 2
 
-    def test_base_engine_requires_start(self):
-        assert "start" in Engine.__abstractmethods__
+    def test_engine_start_is_concrete(self):
+        """start() is built once over ``session_class``: no backend forwards it."""
+        assert not getattr(Engine, "__abstractmethods__", None)
+        for engine_class in (SimulationEngine, ThreadedEngine, ProcessEngine):
+            assert engine_class.start is Engine.start
 
     def test_simulation_engine_is_single_use(self, small_split, small_training, scaled_preset):
         """Like the threaded engine: a second run would silently continue
