@@ -67,7 +67,7 @@ from .serve import (
     Scorer,
     attach_model,
 )
-from .sgd import FactorModel, rmse, train_als, train_ccd, train_hogwild, train_serial_sgd
+from .sgd import FactorModel, rmse, train_als, train_serial_sgd
 from .sparse import SparseRatingMatrix
 from .stream import (
     DriftMonitor,
@@ -129,8 +129,6 @@ __all__ = [
     "FactorModel",
     "rmse",
     "train_als",
-    "train_ccd",
-    "train_hogwild",
     "train_serial_sgd",
     "SparseRatingMatrix",
     "DriftMonitor",

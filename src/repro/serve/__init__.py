@@ -8,7 +8,7 @@ processes without copies:
   deterministic tie handling and optional exclusion of already-rated
   items (:mod:`repro.serve.scorer`);
 * :class:`AnnScorer` / :class:`IvfIndex` — the approximate retrieval
-  tier: a seeded IVF(/PQ) index over the item factors probes a fraction
+  tier: a seeded IVF index over the item factors probes a fraction
   of the catalogue and re-ranks it exactly, trading a pinned recall@K
   for an order of magnitude in users/s (:mod:`repro.serve.ann`);
 * :class:`ModelStore` / :func:`attach_model` — versioned publication of

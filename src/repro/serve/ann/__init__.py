@@ -1,4 +1,4 @@
-"""Approximate top-K retrieval: IVF/PQ index tier behind the exact scorer.
+"""Approximate top-K retrieval: IVF index tier behind the exact scorer.
 
 See DESIGN.md ("Approximate retrieval memory model") for the segment
 layout and the determinism argument; README ("Approximate top-K") for
@@ -9,12 +9,11 @@ from .index import (
     DEFAULT_NLIST,
     DEFAULT_NPROBE,
     DEFAULT_TRAIN_ITERATIONS,
-    PQ_KSUB,
     AnnIndexMeta,
     IvfIndex,
 )
 from .kmeans import kmeans
-from .scorer import DEFAULT_PQ_REFINE, AnnScorer
+from .scorer import AnnScorer
 
 __all__ = [
     "AnnIndexMeta",
@@ -23,7 +22,5 @@ __all__ = [
     "kmeans",
     "DEFAULT_NLIST",
     "DEFAULT_NPROBE",
-    "DEFAULT_PQ_REFINE",
     "DEFAULT_TRAIN_ITERATIONS",
-    "PQ_KSUB",
 ]

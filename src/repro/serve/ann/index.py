@@ -1,4 +1,4 @@
-"""The IVF/PQ index over item factors, packable into a shared segment.
+"""The IVF index over item factors, packable into a shared segment.
 
 An :class:`IvfIndex` partitions the item catalogue with a seeded k-means
 coarse quantizer (:mod:`repro.serve.ann.kmeans`) into ``nlist`` inverted
@@ -21,22 +21,14 @@ where inner-product ranking *is* euclidean ranking, and queries probe
 by the equivalent affinity ``q . c[:d] - |c|²/2`` (a query augments as
 ``[q, 0]``).  Same measurement with the reduction: recall@10 ≈ 0.99.
 Only the ``(nlist, d+1)`` centroids live in augmented space; inverted
-lists hold plain item ids and PQ codes quantize raw item vectors.
+lists hold plain item ids.
 
-An optional **product quantization** refinement stores every item as
-``pq_m`` one-byte codebook indices (one per factor subspace), an 8x
-compression of the candidate first pass: probed lists are then scored
-from per-query lookup tables (asymmetric distance computation) and only
-a short per-user list survives to the exact re-rank.
-
-Everything the query path needs is four (six with PQ) flat arrays, so
-the index serializes as one contiguous byte range::
+Everything the query path needs besides the factors is three flat
+arrays, so the index serializes as one contiguous byte range::
 
     centroids  (nlist, d + 1)    float64   augmented space (see above)
-    offsets    (nlist + 1,)      int64     CSR bounds into ids/codes
+    offsets    (nlist + 1,)      int64     CSR bounds into ids
     ids        (n,)              int64     item ids, ascending per list
-    codebooks  (pq_m, 256, dsub) float64   [PQ only]
-    codes      (n, pq_m)         uint8     [PQ only, aligned with ids]
 
 :meth:`IvfIndex.pack_into` writes that layout at a byte offset of a
 :class:`~repro.shm.SharedSegment`; :meth:`IvfIndex.attach` rebuilds the
@@ -52,7 +44,7 @@ across a publish/attach process boundary).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -67,16 +59,8 @@ DEFAULT_NLIST = 64
 #: Default number of lists probed per query (see AnnScorer).
 DEFAULT_NPROBE = 8
 
-#: Sub-quantizer alphabet size: one uint8 code per subspace.
-PQ_KSUB = 256
-
-#: k-means refinement sweeps for both quantizer levels.
+#: k-means refinement sweeps of the coarse quantizer.
 DEFAULT_TRAIN_ITERATIONS = 10
-
-
-def _pad8(nbytes: int) -> int:
-    """Round a byte count up to 8-byte alignment (view-offset safety)."""
-    return (nbytes + 7) & ~7
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,6 @@ class AnnIndexMeta:
     dim: int
     seed: int
     train_iterations: int = DEFAULT_TRAIN_ITERATIONS
-    pq_m: int = 0
 
     def __post_init__(self) -> None:
         if self.nlist <= 0:
@@ -103,21 +86,10 @@ class AnnIndexMeta:
                 f"index needs positive items/dim, got "
                 f"({self.n_items}, {self.dim})"
             )
-        if self.pq_m < 0:
-            raise InvalidMatrixError(f"pq_m must be >= 0, got {self.pq_m}")
-        if self.pq_m and self.dim % self.pq_m:
-            raise InvalidMatrixError(
-                f"pq_m={self.pq_m} must divide the factor dimension {self.dim}"
-            )
 
     # ------------------------------------------------------------------ #
     # Packed layout (byte offsets relative to the index base offset)
     # ------------------------------------------------------------------ #
-    @property
-    def dsub(self) -> int:
-        """Subspace width of the product quantizer (0 without PQ)."""
-        return self.dim // self.pq_m if self.pq_m else 0
-
     @property
     def centroids_nbytes(self) -> int:
         # Centroids carry the MIPS->L2 augmentation coordinate.
@@ -132,23 +104,9 @@ class AnnIndexMeta:
         return self.n_items * 8
 
     @property
-    def codebooks_nbytes(self) -> int:
-        return self.pq_m * PQ_KSUB * self.dsub * 8 if self.pq_m else 0
-
-    @property
-    def codes_nbytes(self) -> int:
-        return _pad8(self.n_items * self.pq_m) if self.pq_m else 0
-
-    @property
     def nbytes(self) -> int:
         """Total packed size (the ModelHandle adds this to the payload)."""
-        return (
-            self.centroids_nbytes
-            + self.offsets_nbytes
-            + self.ids_nbytes
-            + self.codebooks_nbytes
-            + self.codes_nbytes
-        )
+        return self.centroids_nbytes + self.offsets_nbytes + self.ids_nbytes
 
     def as_dict(self) -> dict:
         return {
@@ -157,23 +115,28 @@ class AnnIndexMeta:
             "dim": self.dim,
             "seed": self.seed,
             "train_iterations": self.train_iterations,
-            "pq_m": self.pq_m,
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnnIndexMeta":
+        # Handles from before product quantization was removed carry
+        # "pq_m": 0; any other value describes a layout this index
+        # cannot map, so refuse it rather than misread the segment.
+        if int(raw.get("pq_m", 0)) != 0:
+            raise InvalidMatrixError(
+                f"product-quantized index (pq_m={raw['pq_m']}) is not supported"
+            )
         return cls(
             nlist=int(raw["nlist"]),
             n_items=int(raw["n_items"]),
             dim=int(raw["dim"]),
             seed=int(raw["seed"]),
             train_iterations=int(raw.get("train_iterations", DEFAULT_TRAIN_ITERATIONS)),
-            pq_m=int(raw.get("pq_m", 0)),
         )
 
 
 class IvfIndex:
-    """Inverted-file index over item factor vectors (+ optional PQ).
+    """Inverted-file index over item factor vectors.
 
     Build with :meth:`build`, or map a published copy with
     :meth:`attach`.  The arrays are adopted as-is (attached indexes hold
@@ -187,21 +150,11 @@ class IvfIndex:
         centroids: np.ndarray,
         offsets: np.ndarray,
         ids: np.ndarray,
-        codebooks: Optional[np.ndarray] = None,
-        codes: Optional[np.ndarray] = None,
     ) -> None:
         self.meta = meta
         self.centroids = centroids
         self.offsets = offsets
         self.ids = ids
-        self.codebooks = codebooks
-        self.codes = codes
-        if (codebooks is None) != (meta.pq_m == 0) or (codes is None) != (
-            meta.pq_m == 0
-        ):
-            raise InvalidMatrixError(
-                "PQ arrays must be present exactly when meta.pq_m > 0"
-            )
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -212,14 +165,13 @@ class IvfIndex:
         model: Union[FactorModel, np.ndarray],
         nlist: int = DEFAULT_NLIST,
         seed: int = 0,
-        pq_m: int = 0,
         train_iterations: int = DEFAULT_TRAIN_ITERATIONS,
     ) -> "IvfIndex":
-        """Train the coarse (and PQ) quantizers over the item factors.
+        """Train the coarse quantizer over the item factors.
 
         ``model`` is a :class:`FactorModel` (its ``Q`` is indexed) or a
         raw ``(k, n)`` item factor matrix.  Deterministic for a fixed
-        ``(factors, nlist, pq_m, train_iterations, seed)``.
+        ``(factors, nlist, train_iterations, seed)``.
         """
         q = model.q if isinstance(model, FactorModel) else np.asarray(model)
         if q.ndim != 2:
@@ -234,7 +186,6 @@ class IvfIndex:
             dim=dim,
             seed=int(seed),
             train_iterations=int(train_iterations),
-            pq_m=int(pq_m),
         )
         # MIPS->L2 reduction: append sqrt(M^2 - |x|^2) so every item has
         # norm M and inner-product ranking becomes euclidean ranking;
@@ -255,45 +206,17 @@ class IvfIndex:
         counts = np.bincount(assignments, minlength=meta.nlist)
         offsets = np.zeros(meta.nlist + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        codebooks = codes = None
-        if meta.pq_m:
-            codebooks = np.empty(
-                (meta.pq_m, PQ_KSUB, meta.dsub), dtype=np.float64
-            )
-            codes = np.empty((n, meta.pq_m), dtype=np.uint8)
-            ksub = min(PQ_KSUB, n)
-            for sub in range(meta.pq_m):
-                block = items[:, sub * meta.dsub : (sub + 1) * meta.dsub]
-                # Independent per-subspace seed stream, still derived
-                # from the single index seed.
-                sub_centroids, sub_codes = kmeans(
-                    block,
-                    ksub,
-                    seed=meta.seed + 1 + sub,
-                    iterations=meta.train_iterations,
-                )
-                codebooks[sub, :ksub] = sub_centroids
-                if ksub < PQ_KSUB:  # tiny catalogues: pad dead codewords
-                    codebooks[sub, ksub:] = sub_centroids[0]
-                codes[:, sub] = sub_codes.astype(np.uint8)
-            # Codes are stored in *list order* so a probed list's codes
-            # are one contiguous slice, exactly like its ids.
-            codes = codes[ids]
-        return cls(meta, centroids, offsets, ids, codebooks, codes)
+        return cls(meta, centroids, offsets, ids)
 
     # ------------------------------------------------------------------ #
     # Shared-memory packing
     # ------------------------------------------------------------------ #
     def pack_into(self, segment, offset: int) -> None:
         """Write the packed layout at ``offset`` of a shared segment."""
-        meta = self.meta
-        views = _index_views(segment, offset, meta, readonly=False)
+        views = _index_views(segment, offset, self.meta, readonly=False)
         views.centroids[...] = self.centroids
         views.offsets[...] = self.offsets
         views.ids[...] = self.ids
-        if meta.pq_m:
-            views.codebooks[...] = self.codebooks
-            views.codes[...] = self.codes
 
     @classmethod
     def attach(
@@ -301,14 +224,7 @@ class IvfIndex:
     ) -> "IvfIndex":
         """Zero-copy index over a packed layout (reader side)."""
         views = _index_views(segment, offset, meta, readonly=readonly)
-        return cls(
-            meta,
-            views.centroids,
-            views.offsets,
-            views.ids,
-            views.codebooks,
-            views.codes,
-        )
+        return cls(meta, views.centroids, views.offsets, views.ids)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -321,34 +237,21 @@ class IvfIndex:
         """Item ids of one inverted list (ascending)."""
         return self.ids[self.offsets[list_id] : self.offsets[list_id + 1]]
 
-    def list_codes(self, list_id: int) -> Optional[np.ndarray]:
-        """PQ codes of one inverted list, aligned with :meth:`list_ids`."""
-        if self.codes is None:
-            return None
-        return self.codes[self.offsets[list_id] : self.offsets[list_id + 1]]
-
     def same_arrays(self, other: "IvfIndex") -> bool:
         """Bitwise equality of every packed array (determinism tests)."""
         if self.meta != other.meta:
             return False
-        pairs = [
-            (self.centroids, other.centroids),
-            (self.offsets, other.offsets),
-            (self.ids, other.ids),
-        ]
-        if self.meta.pq_m:
-            pairs += [
-                (self.codebooks, other.codebooks),
-                (self.codes, other.codes),
-            ]
-        return all(np.array_equal(a, b) for a, b in pairs)
+        return (
+            np.array_equal(self.centroids, other.centroids)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.ids, other.ids)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         meta = self.meta
-        pq = f", pq_m={meta.pq_m}" if meta.pq_m else ""
         return (
             f"IvfIndex(nlist={meta.nlist}, items={meta.n_items}, "
-            f"dim={meta.dim}, seed={meta.seed}{pq})"
+            f"dim={meta.dim}, seed={meta.seed})"
         )
 
 
@@ -357,8 +260,6 @@ class _IndexViews:
     centroids: np.ndarray
     offsets: np.ndarray
     ids: np.ndarray
-    codebooks: Optional[np.ndarray]
-    codes: Optional[np.ndarray]
 
 
 def _index_views(
@@ -380,20 +281,4 @@ def _index_views(
     ids = segment.ndarray(
         (meta.n_items,), np.int64, offset=cursor, readonly=readonly
     )
-    cursor += meta.ids_nbytes
-    codebooks = codes = None
-    if meta.pq_m:
-        codebooks = segment.ndarray(
-            (meta.pq_m, PQ_KSUB, meta.dsub),
-            np.float64,
-            offset=cursor,
-            readonly=readonly,
-        )
-        cursor += meta.codebooks_nbytes
-        codes = segment.ndarray(
-            (meta.n_items, meta.pq_m),
-            np.uint8,
-            offset=cursor,
-            readonly=readonly,
-        )
-    return _IndexViews(centroids, offsets, ids, codebooks, codes)
+    return _IndexViews(centroids, offsets, ids)

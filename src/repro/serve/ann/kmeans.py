@@ -1,10 +1,10 @@
-"""Deterministic, seeded k-means for the ANN coarse and product quantizers.
+"""Deterministic, seeded k-means for the ANN coarse quantizer.
 
 The index build must be a *pure function* of (factors, parameters, seed):
 two builds on the same machine — or on different machines with the same
-BLAS — produce bitwise-identical centroids, list assignments and PQ
-codes, which is what lets the determinism tests compare an index built
-in-process against one attached from a reader process.  Everything here
+BLAS — produce bitwise-identical centroids and list assignments, which
+is what lets the determinism tests compare an index built in-process
+against one attached from a reader process.  Everything here
 is plain numpy with a single ``default_rng(seed)``:
 
 * initialisation is k-means++ style (greedy D² sampling) driven by that

@@ -12,10 +12,7 @@ highest for each user, instead of the whole catalogue:
    probed list is scored once per batch with one gathered
    ``P[subset] @ Q[:, list]`` GEMM tile (the same chunked-GEMM machinery
    and ``_top_k_rows`` boundary-tie audit the exact scorer uses), so a
-   list shared by many users costs one matmul, not one per user.  With
-   PQ enabled, large lists are first scored from per-user lookup tables
-   over the one-byte codes (asymmetric distance computation) and only a
-   per-user shortlist survives;
+   list shared by many users costs one matmul, not one per user;
 3. **exact re-rank** — every reported score is a true ``p_u . q_v``
    float64 inner product, merged across lists under the exact scorer's
    determinism contract.  Approximation only ever narrows the candidate
@@ -23,12 +20,11 @@ highest for each user, instead of the whole catalogue:
 
 Consequences of that design:
 
-* with ``nprobe == nlist`` (and, under PQ, a shortlist covering every
-  candidate) the results are **identical** to the exact scorer's — the
-  test suite pins this;
+* with ``nprobe == nlist`` the results are **identical** to the exact
+  scorer's — the test suite pins this;
 * results are independent of batch composition and of the re-rank tile
   width ``chunk_items``: a user's slate depends only on (model, index,
-  nprobe, PQ settings), never on who shares the batch — pinned too;
+  nprobe), never on who shares the batch — pinned too;
 * already-rated items are masked *post-candidate* (inside each scored
   tile, before any selection), so exclusion semantics match the exact
   path: a seen item never appears, an all-seen user pads with
@@ -60,13 +56,9 @@ from ..scorer import (
 )
 from .index import DEFAULT_NPROBE, IvfIndex
 
-#: With PQ enabled, each user keeps ``pq_refine * k`` approximate-best
-#: candidates per batch for the exact re-rank.
-DEFAULT_PQ_REFINE = 8
-
 
 class AnnScorer:
-    """IVF(/PQ) approximate top-K over a :class:`FactorModel`.
+    """IVF approximate top-K over a :class:`FactorModel`.
 
     Parameters
     ----------
@@ -87,12 +79,6 @@ class AnnScorer:
     chunk_items:
         Tile width of the exact re-rank GEMM over one list's candidates
         (results are independent of it; pinned by tests).
-    pq_refine:
-        Only with a PQ-enabled index: shortlist length multiplier (the
-        exact re-rank sees ``pq_refine * k`` candidates per user).
-    use_pq:
-        Set ``False`` to ignore a PQ-enabled index's codes and re-rank
-        every candidate exactly (useful for measuring what PQ costs).
     """
 
     #: Tier label used by benchmarks and ``/stats`` (the exact scorer
@@ -108,8 +94,6 @@ class AnnScorer:
         ] = None,
         nprobe: int = DEFAULT_NPROBE,
         chunk_items: Union[int, str] = DEFAULT_CHUNK_ITEMS,
-        pq_refine: int = DEFAULT_PQ_REFINE,
-        use_pq: bool = True,
     ) -> None:
         if nprobe <= 0:
             raise InvalidMatrixError(f"nprobe must be positive, got {nprobe}")
@@ -117,10 +101,6 @@ class AnnScorer:
         if chunk_items <= 0:
             raise InvalidMatrixError(
                 f"chunk_items must be positive, got {chunk_items}"
-            )
-        if pq_refine <= 0:
-            raise InvalidMatrixError(
-                f"pq_refine must be positive, got {pq_refine}"
             )
         m, n = model.shape
         if index.meta.n_items != n or index.meta.dim != model.latent_factors:
@@ -133,8 +113,6 @@ class AnnScorer:
         self.index = index
         self.nprobe = min(int(nprobe), index.nlist)
         self.chunk_items = int(chunk_items)
-        self.pq_refine = int(pq_refine)
-        self._pq = bool(use_pq) and index.meta.pq_m > 0
         # Item-major (n, d) rows for contiguous candidate gathers; on
         # models following the layout contract this is a no-copy view.
         self._items = model.q.T
@@ -257,64 +235,6 @@ class AnnScorer:
                 t_ids, t_vals = _top_k_rows(scores, chunk, k)
                 self._merge_rows(best_ids, best_vals, rows, t_ids, t_vals, k)
 
-    def _score_lists_pq(
-        self,
-        p_batch: np.ndarray,
-        users: np.ndarray,
-        groups,
-        k: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """PQ first pass: shortlist ``pq_refine * k`` candidates per user.
-
-        Approximate scores come from per-user lookup tables — one
-        ``p_sub . codeword`` table per subspace — so a probed list costs
-        ``pq_m`` one-byte gathers per item instead of a ``dim``-wide
-        float64 GEMM column.  The shortlist keeps ids only; the caller
-        re-ranks them exactly.
-        """
-        meta = self.index.meta
-        b = p_batch.shape[0]
-        shortlist = max(self.pq_refine * k, k)
-        # Lookup tables: (B, pq_m, 256) inner products per subspace.
-        p_sub = p_batch.reshape(b, meta.pq_m, meta.dsub)
-        luts = np.einsum("bmd,mkd->bmk", p_sub, self.index.codebooks)
-        best_ids = np.full((b, shortlist), PAD_ITEM, dtype=np.int64)
-        best_vals = np.full((b, shortlist), -np.inf, dtype=np.float64)
-        for list_id, rows in groups:
-            item_ids = self.index.list_ids(list_id)
-            if item_ids.size == 0:
-                continue
-            codes = self.index.list_codes(list_id)
-            luts_rows = luts[rows]
-            for start in range(0, item_ids.size, self.chunk_items):
-                chunk = item_ids[start : start + self.chunk_items]
-                chunk_codes = codes[start : start + self.chunk_items]
-                approx = np.zeros((rows.size, chunk.size), dtype=np.float64)
-                for sub in range(meta.pq_m):
-                    approx += luts_rows[:, sub, :][:, chunk_codes[:, sub]]
-                if self._indptr is not None:
-                    self._mask_tile(approx, users[rows], chunk)
-                t_ids, t_vals = _top_k_rows(approx, chunk, shortlist)
-                self._merge_rows(
-                    best_ids, best_vals, rows, t_ids, t_vals, shortlist
-                )
-        return best_ids, best_vals
-
-    def _rerank_exact(
-        self, p_batch: np.ndarray, cand_ids: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact re-rank of per-user shortlists (PAD-aware gather)."""
-        gather = np.maximum(cand_ids, 0)  # PAD -> item 0, masked below
-        vectors = self._items[gather]  # (B, S, d)
-        scores = np.einsum("bd,bsd->bs", p_batch, vectors)
-        scores[cand_ids == PAD_ITEM] = -np.inf
-        safe_ids = np.where(cand_ids == PAD_ITEM, np.int64(2**62), cand_ids)
-        order = np.lexsort((safe_ids, -scores), axis=1)[:, :k]
-        return (
-            np.take_along_axis(cand_ids, order, axis=1),
-            np.take_along_axis(scores, order, axis=1),
-        )
-
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
@@ -367,15 +287,9 @@ class AnnScorer:
             )
         ]
 
-        if self._pq:
-            cand_ids, _ = self._score_lists_pq(p_batch, users, groups, k_eff)
-            best_ids, best_vals = self._rerank_exact(p_batch, cand_ids, k_eff)
-        else:
-            best_ids = np.full((users.size, k_eff), PAD_ITEM, dtype=np.int64)
-            best_vals = np.full((users.size, k_eff), -np.inf, dtype=np.float64)
-            self._score_lists_exact(
-                p_batch, users, groups, best_ids, best_vals, k_eff
-            )
+        best_ids = np.full((users.size, k_eff), PAD_ITEM, dtype=np.int64)
+        best_vals = np.full((users.size, k_eff), -np.inf, dtype=np.float64)
+        self._score_lists_exact(p_batch, users, groups, best_ids, best_vals, k_eff)
         # Masked or never-filled slots must report the padding sentinel,
         # exactly like the exact scorer.
         padding = np.isneginf(best_vals)
@@ -392,9 +306,8 @@ class AnnScorer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         m, n = self.model.shape
         masked = self._indptr is not None
-        pq = f", pq_refine={self.pq_refine}" if self._pq else ""
         return (
             f"AnnScorer(m={m}, n={n}, nlist={self.index.nlist}, "
-            f"nprobe={self.nprobe}{pq}, "
+            f"nprobe={self.nprobe}, "
             f"exclude={'csr' if masked else 'none'})"
         )

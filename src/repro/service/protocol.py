@@ -35,6 +35,8 @@ from ..exceptions import ReproError
 
 #: Upper bound on any single header/request line, and on the number of
 #: headers — the memory a client can pin before admission control runs.
+#: The server also uses MAX_LINE_BYTES as its stream limit, so an
+#: over-long line is refused before it is buffered, not after.
 MAX_LINE_BYTES = 8192
 MAX_HEADERS = 64
 MAX_BODY_BYTES = 1 << 20
@@ -134,7 +136,10 @@ async def read_request(reader) -> Optional[HttpRequest]:
             except Exception as exc:
                 raise ProtocolError(f"truncated body: {exc!r}") from None
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError as exc:  # e.g. an unbalanced "[" in the authority
+        raise ProtocolError(f"malformed request target: {exc}") from None
     query = {key: values[-1] for key, values in parse_qs(split.query).items()}
     return HttpRequest(
         method=method.upper(),

@@ -57,7 +57,13 @@ from ..serve.service import DEFAULT_SERVICE_BATCH
 from ..serve.store import ModelLease, ModelStore
 from ..tune.profile import resolve_serving_batch_size, resolve_serving_chunk_items
 from .pool import ReaderOptions, ReaderPool, ServingSlot, slate_payload
-from .protocol import HttpRequest, ProtocolError, read_request, render_response
+from .protocol import (
+    MAX_LINE_BYTES,
+    HttpRequest,
+    ProtocolError,
+    read_request,
+    render_response,
+)
 from .routing import HashRing
 
 #: Largest exact-tier model, in ``items x latent_factors`` cells, that
@@ -245,7 +251,10 @@ class RecommendServer:
         self._per_reader_load = {index: 0 for index in range(self.config.workers)}
         self._pool.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.config.host, port=self.config.port
+            self._handle_connection,
+            host=self.config.host,
+            port=self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         self._supervisor = self._loop.create_task(self._supervise())
         if wait_ready:

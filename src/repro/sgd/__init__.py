@@ -23,10 +23,8 @@ Implements the numerical core of the paper (Section II):
   factor matrix) and :func:`~repro.sgd.foldin.grow_model` for
   warm-start over a grown matrix;
 * :mod:`repro.sgd.serial` — Algorithm 1, the single-threaded reference;
-* :mod:`repro.sgd.hogwild` — the lock-free Hogwild baseline;
-* :mod:`repro.sgd.als` / :mod:`repro.sgd.ccd` — the non-SGD baselines
-  (alternating least squares and cyclic coordinate descent) mentioned in
-  Section III-C.
+* :mod:`repro.sgd.als` — the alternating-least-squares baseline
+  mentioned in Section III-C.
 """
 
 from .model import FactorModel
@@ -56,9 +54,7 @@ from .schedules import (
     TwinLearnersSchedule,
 )
 from .serial import train_serial_sgd
-from .hogwild import train_hogwild
 from .als import train_als
-from .ccd import train_ccd
 
 __all__ = [
     "FactorModel",
@@ -84,7 +80,5 @@ __all__ = [
     "LearningRateSchedule",
     "TwinLearnersSchedule",
     "train_serial_sgd",
-    "train_hogwild",
     "train_als",
-    "train_ccd",
 ]

@@ -1,11 +1,12 @@
-"""The approximate retrieval tier: IVF index, PQ codes, AnnScorer.
+"""The approximate retrieval tier: IVF index, AnnScorer.
 
 Pins the properties the tier is built on:
 
 * **deterministic builds** — same seed and factors give a
-  bitwise-identical index (k-means, inverted lists, PQ codebooks and
-  codes), across repeated builds and across a shared-memory
-  serialisation round-trip;
+  bitwise-identical index (k-means centroids and inverted lists),
+  across repeated builds and across a shared-memory serialisation
+  round-trip, and the arrays and slates match digests recorded before
+  the product-quantization tier was removed;
 * **the exact-scorer contract survives approximation** — scores
   descending, item ids ascending among ties, and the returned ids are
   invariant to batch size and ``chunk_items``; probing every list
@@ -23,6 +24,8 @@ Pins the properties the tier is built on:
   a reload failure rather than mixing tiers.
 """
 
+import hashlib
+import json
 import multiprocessing
 import os
 import tempfile
@@ -209,8 +212,6 @@ class TestAnnScorerContract:
             AnnScorer(model, index, nprobe=0)
         with pytest.raises(InvalidMatrixError):
             AnnScorer(model, index, chunk_items=0)
-        with pytest.raises(InvalidMatrixError):
-            AnnScorer(model, index, pq_refine=0)
         other = FactorModel.initialize(10, 12, 8, seed=0)
         with pytest.raises(InvalidMatrixError):
             AnnScorer(other, index)  # catalogue mismatch
@@ -233,38 +234,67 @@ class TestAnnScorerContract:
         assert recall_at_k(approx_ids, exact_ids) >= 0.95
 
 
-class TestProductQuantization:
-    @pytest.fixture(scope="class")
-    def pq_index(self, model) -> IvfIndex:
-        return IvfIndex.build(model, nlist=6, seed=0, pq_m=4)
+def _exclusion_csr(m: int, n: int, nnz: int):
+    """A seeded ``(indptr, indices)`` exclusion set of ``nnz`` distinct cells."""
+    cells = np.sort(np.random.default_rng(17).choice(m * n, size=nnz, replace=False))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells // n, minlength=m), out=indptr[1:])
+    return indptr, (cells % n).astype(np.int64)
 
-    def test_pq_build_is_bitwise_deterministic(self, model, pq_index):
-        rebuilt = IvfIndex.build(model, nlist=6, seed=0, pq_m=4)
-        assert pq_index.same_arrays(rebuilt)
-        assert pq_index.codebooks.shape == (4, 256, 2)
-        assert pq_index.codes.shape == (model.shape[1], 4)
 
-    def test_pq_dim_must_divide(self, model):
-        with pytest.raises(InvalidMatrixError):
-            IvfIndex.build(model, nlist=6, seed=0, pq_m=3)  # 8 % 3 != 0
+def _digest(*arrays: np.ndarray) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-    def test_full_refine_equals_exact_rerank_path(self, model, pq_index):
-        """A shortlist that covers every probed item makes the PQ path's
-        final exact re-rank return the exact-path ids."""
-        users = np.arange(model.shape[0])
-        via_pq, _ = AnnScorer(
-            model, pq_index, nprobe=3, use_pq=True, pq_refine=1_000
-        ).top_k(users, 10)
-        via_exact, _ = AnnScorer(
-            model, pq_index, nprobe=3, use_pq=False
-        ).top_k(users, 10)
-        np.testing.assert_array_equal(via_pq, via_exact)
 
-    def test_pq_recall_is_reasonable(self, model, pq_index):
-        users = np.arange(model.shape[0])
-        exact_ids, _ = Scorer(model).top_k(users, 10)
-        approx_ids, _ = AnnScorer(model, pq_index, nprobe=6).top_k(users, 10)
-        assert recall_at_k(approx_ids, exact_ids) >= 0.9
+def _ivf_digests(model: FactorModel, nlist: int, nnz: int) -> dict:
+    """sha256 of the index arrays and of the slates of users ``0..255``."""
+    index = IvfIndex.build(model, nlist=nlist, seed=0)
+    out = {name: _digest(getattr(index, name)) for name in ("centroids", "offsets", "ids")}
+    users = np.arange(min(256, model.shape[0]))
+    exclude = _exclusion_csr(*model.shape, nnz)
+    for nprobe in (2, 8, nlist):
+        for label, excl in (("all", None), ("excl", exclude)):
+            ids, scores = AnnScorer(model, index, exclude=excl, nprobe=nprobe).top_k(users, 10)
+            out[f"top_k/nprobe={nprobe}/{label}"] = _digest(ids, scores)
+    return out
+
+
+#: Digests recorded before the product-quantization tier was removed; the
+#: IVF arrays and the slates it serves must stay bit-identical.  Scores are
+#: float64 GEMM results, so the constants hold for a given BLAS build.
+PINNED_IVF_DIGESTS = {
+    "small": {
+        "centroids": "e75282b4ba1a703a168fd1661a3891b72ee8b06717b12a8303b9622ea5191902",
+        "offsets": "b0b3bdbf17670ef05479fe03dd2454d170a823b38af4d6680e9b925b7a131c8f",
+        "ids": "95b7842efad5fe4e48390fa97ae63d51977277f22e48cf928494f66c414c00d5",
+        "top_k/nprobe=2/all": "54d0c99bc60d42750473eea43d0350c922613c6c5683e7e81e13843f45b78343",
+        "top_k/nprobe=2/excl": "46634f89eca295ab49db51472f19fd1e180c9fff392be6e67b93692ee459bc01",
+        "top_k/nprobe=8/all": "da088401be7c784b85946ca1e5c652437a41289b9db4a2f79c4245a332a401e4",
+        "top_k/nprobe=8/excl": "0e81d54b52786609de0749c21690720f45b95a4b53003b932a243e08c16bebff",
+        "top_k/nprobe=6/all": "da088401be7c784b85946ca1e5c652437a41289b9db4a2f79c4245a332a401e4",
+        "top_k/nprobe=6/excl": "0e81d54b52786609de0749c21690720f45b95a4b53003b932a243e08c16bebff",
+    },
+    "netflix": {
+        "centroids": "8f5d079ee17357977e01ba3a8db2c3f4239ce87e21f75051ba23b633c6fa6465",
+        "offsets": "b403913085d92cbfacd2f52b8f26ff6469b7b7b867ae1349a76d3575fcce3f8a",
+        "ids": "0cd4e086e49f8f4346709c07c410400800738aa5b71d05cb9bb3632455af3d29",
+        "top_k/nprobe=2/all": "ace5ba6ea1f353dae3601cfe017a233bf761b35caa161c467ed88cf4d26a4f99",
+        "top_k/nprobe=2/excl": "fa5c26c5e53f0c8de80b8f1d67a0a78b2f57f6a251cf95bac0454ec0a9903952",
+        "top_k/nprobe=8/all": "edd754b2b8e1d9c7569e8c3cc96d7fa329484fe5dfa961e1bc9facfeaecce1bc",
+        "top_k/nprobe=8/excl": "04f87f6f237cbaad94f6eee37ae32dd99a1d58cffebc6089fc330e549dca8d8b",
+        "top_k/nprobe=64/all": "306bcc7daadcd606f1577460f146ecc0b5c1435343f1baf362156fae24c3ac23",
+        "top_k/nprobe=64/excl": "c2dcaff0a3c80502be10e87d42ea415a0e7dfaaa804f410bd29fe84359e07a71",
+    },
+}
+
+
+class TestIvfPinned:
+    def test_small_model(self, model):
+        assert _ivf_digests(model, nlist=6, nnz=300) == PINNED_IVF_DIGESTS["small"]
+
+    def test_netflix_shaped(self):
+        model = synthetic_model(2_000, 17_770, 128, seed=0)
+        assert _ivf_digests(model, nlist=64, nnz=2_000_000) == PINNED_IVF_DIGESTS["netflix"]
 
 
 class TestSerialization:
@@ -275,19 +305,6 @@ class TestSerialization:
             attached = IvfIndex.attach(segment, 0, index.meta)
             assert index.same_arrays(attached)
             assert not attached.centroids.flags.writeable
-            attached = None
-        finally:
-            segment.close()
-            segment.unlink()
-        _assert_no_segments()
-
-    def test_pq_pack_attach_roundtrip_bitwise(self, model):
-        pq = IvfIndex.build(model, nlist=6, seed=0, pq_m=4)
-        segment = SharedSegment.create(pq.meta.nbytes, purpose="annidx")
-        try:
-            pq.pack_into(segment, 0)
-            attached = IvfIndex.attach(segment, 0, pq.meta)
-            assert pq.same_arrays(attached)
             attached = None
         finally:
             segment.close()
@@ -361,6 +378,42 @@ class TestStorePublication:
                 loaded = type(handle).load(path)
             assert loaded == handle
             assert loaded.index is None
+        _assert_no_segments()
+
+    @staticmethod
+    def _reload_with_index_fields(handle, **fields):
+        """Save ``handle``, patch its "index" object, and load it back."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "handle.json")
+            handle.save(path)
+            with open(path, encoding="utf-8") as stream:
+                raw = json.load(stream)
+            raw["index"].update(fields)
+            with open(path, "w", encoding="utf-8") as stream:
+                json.dump(raw, stream)
+            return type(handle).load(path), raw["index"]
+
+    def test_handle_json_index_has_no_pq_m_key(self, model, index):
+        with ModelStore() as store:
+            handle = store.publish(model, index=index)
+            loaded, raw = self._reload_with_index_fields(handle)
+            assert "pq_m" not in raw
+            assert loaded == handle
+        _assert_no_segments()
+
+    def test_handle_json_with_pq_m_zero_still_loads(self, model, index):
+        """Handles written while the PQ tier existed carry "pq_m": 0."""
+        with ModelStore() as store:
+            handle = store.publish(model, index=index)
+            loaded, _ = self._reload_with_index_fields(handle, pq_m=0)
+            assert loaded == handle
+        _assert_no_segments()
+
+    def test_handle_json_with_pq_index_fails_loudly(self, model, index):
+        with ModelStore() as store:
+            handle = store.publish(model, index=index)
+            with pytest.raises(ExecutionError, match="pq_m=4"):
+                self._reload_with_index_fields(handle, pq_m=4)
         _assert_no_segments()
 
     def test_forked_reader_returns_identical_ids(self, model, index):

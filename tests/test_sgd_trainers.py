@@ -1,16 +1,11 @@
-"""Tests of the serial SGD reference and the non-SGD baselines."""
+"""Tests of the serial SGD reference and the ALS baseline."""
 
 import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
 from repro.exceptions import ConfigurationError
-from repro.sgd import (
-    train_als,
-    train_ccd,
-    train_hogwild,
-    train_serial_sgd,
-)
+from repro.sgd import train_als, train_serial_sgd
 from repro.sgd.schedules import (
     ConstantSchedule,
     InverseTimeDecaySchedule,
@@ -113,27 +108,6 @@ class TestSchedules:
         assert "alpha" in repr(TwinLearnersSchedule(0.01))
 
 
-class TestHogwild:
-    def test_converges(self, small_split, training):
-        train, test = small_split
-        _, history = train_hogwild(train, training, workers=4, test=test)
-        assert history.train_rmse[-1] < history.train_rmse[0]
-
-    def test_worker_count_validation(self, small_split, training):
-        train, _ = small_split
-        with pytest.raises(ConfigurationError):
-            train_hogwild(train, training, workers=0)
-        with pytest.raises(ConfigurationError):
-            train_hogwild(train, training, rounds_per_iteration=0)
-
-    def test_more_workers_still_converge(self, small_split, training):
-        train, test = small_split
-        _, history = train_hogwild(
-            train, training.with_iterations(4), workers=8, test=test
-        )
-        assert history.test_rmse[-1] < history.test_rmse[0]
-
-
 class TestALS:
     def test_converges_fast(self, small_split, training):
         train, test = small_split
@@ -147,19 +121,4 @@ class TestALS:
         assert all(
             later <= earlier + 1e-6
             for earlier, later in zip(history.train_rmse, history.train_rmse[1:])
-        )
-
-
-class TestCCD:
-    def test_converges(self, small_split, training):
-        train, test = small_split
-        _, history = train_ccd(train, training.with_iterations(3), test=test)
-        assert history.train_rmse[-1] < history.train_rmse[0]
-
-    def test_comparable_to_als(self, small_split, training):
-        train, _ = small_split
-        _, ccd_history = train_ccd(train, training.with_iterations(3))
-        _, als_history = train_als(train, training.with_iterations(3))
-        assert ccd_history.train_rmse[-1] == pytest.approx(
-            als_history.train_rmse[-1], rel=0.5, abs=0.2
         )
