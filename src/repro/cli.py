@@ -225,10 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "'minibatch_local' kernel otherwise (both over pre-gathered band "
             "data), 'native' forces the compiled kernel (an error when it "
             "cannot be built; within 1e-12 of the numpy kernels), "
-            "'minibatch_local' forces the numpy band-local kernel, 'minibatch' "
-            "the global-index vectorised kernel (bitwise-identical to it), "
-            "'sequential' the exact per-rating reference "
-            "loop (slow)"
+            "'minibatch_local' forces the numpy band-local kernel, "
+            "'sequential' the exact per-rating reference loop (slow)"
         ),
     )
     train.add_argument(

@@ -74,15 +74,13 @@ DEFAULT_MAX_WORKER_RESTARTS = 3
 
 #: The selectable SGD update kernels (see :mod:`repro.sgd.kernels`):
 #: ``"auto"`` picks the compiled ``"native"`` kernel when it loads on this
-#: machine and the numpy ``"minibatch_local"`` kernel otherwise (both need
-#: pre-gathered block data; without it ``"auto"`` runs ``"minibatch"``),
-#: ``"minibatch"`` forces the global-index vectorised kernel,
-#: ``"minibatch_local"`` forces the band-local numpy kernel
-#: (bitwise-identical to ``"minibatch"``), ``"native"`` forces the C
-#: kernel (within 1e-12 of the numpy pair; an error when it cannot be
-#: built), and ``"sequential"`` forces the exact per-rating reference
-#: loop (slow).
-KERNEL_NAMES = ("auto", "minibatch", "minibatch_local", "native", "sequential")
+#: machine and the numpy ``"minibatch_local"`` kernel otherwise,
+#: ``"minibatch_local"`` forces the band-local numpy kernel, ``"native"``
+#: forces the C kernel (within 1e-12 of the numpy one; an error when it
+#: cannot be built), and ``"sequential"`` forces the exact per-rating
+#: reference loop (slow).  All but ``"sequential"`` read the per-block
+#: band-local arrays of :class:`repro.sparse.BlockStore`.
+KERNEL_NAMES = ("auto", "minibatch_local", "native", "sequential")
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,8 @@ class TrainingConfig:
         ``"auto"`` selects a block-major kernel, which consumes per-block
         pre-gathered, pre-validated band-local arrays: the compiled
         ``"native"`` kernel when it loads on this machine, else the numpy
-        ``"minibatch_local"`` kernel (bitwise-identical to
-        ``"minibatch"``; ``"native"`` agrees with both to 1e-12).
+        ``"minibatch_local"`` kernel (``"native"`` agrees with it to
+        1e-12).
     batch_size:
         Mini-batch length of the vectorised kernels
         (:data:`DEFAULT_BATCH_SIZE` when ``None``).  ``"auto"`` resolves

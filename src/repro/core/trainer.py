@@ -218,7 +218,6 @@ class HeterogeneousTrainer:
         backend: Optional[str] = None,
         kernel: Optional[str] = None,
         batch_size: Optional[int] = None,
-        use_block_store: bool = True,
         callbacks: Optional[Sequence[Callback]] = None,
         resume_from: Optional[Union[str, os.PathLike, TrainCheckpoint]] = None,
     ) -> TrainResult:
@@ -267,10 +266,6 @@ class HeterogeneousTrainer:
             (defaults to ``training.batch_size``, itself defaulting to
             :data:`repro.config.DEFAULT_BATCH_SIZE`).  The sequential
             reference kernel is unaffected.
-        use_block_store:
-            Feed the engines through the block-major data plane (the
-            default).  ``False`` restores the legacy gather-per-task
-            path; bitwise-identical, kept for benchmarking.
         callbacks:
             Epoch-boundary callbacks (:mod:`repro.exec.callbacks`):
             early stopping, checkpointing, JSONL logging, wall-clock
@@ -310,9 +305,7 @@ class HeterogeneousTrainer:
             self.spec, grid, self._effective_hardware, seed=self.seed
         )
         backend = backend if backend is not None else self.training.backend
-        backend = resolve_backend_name(
-            backend, n_workers=scheduler.n_workers, use_block_store=use_block_store
-        )
+        backend = resolve_backend_name(backend, n_workers=scheduler.n_workers)
         training = self.training
         if kernel is not None:
             training = training.with_kernel(kernel)
@@ -337,7 +330,6 @@ class HeterogeneousTrainer:
             model=model,
             schedule=schedule,
             compute_train_rmse=compute_train_rmse,
-            use_block_store=use_block_store,
         )
         callback_list = CallbackList(callbacks)
         session = engine.start(
@@ -438,7 +430,6 @@ class HeterogeneousTrainer:
         model: Optional[FactorModel],
         schedule: Optional[LearningRateSchedule],
         compute_train_rmse: bool,
-        use_block_store: bool = True,
     ) -> Engine:
         """Construct the execution backend for one run.
 
@@ -457,7 +448,6 @@ class HeterogeneousTrainer:
             schedule=schedule,
             platform=self._platform,
             compute_train_rmse=compute_train_rmse,
-            use_block_store=use_block_store,
         )
 
 
@@ -478,7 +468,6 @@ def factorize(
     workers: Optional[int] = None,
     schedule: Optional[LearningRateSchedule] = None,
     compute_train_rmse: bool = False,
-    use_block_store: bool = True,
     callbacks: Optional[Sequence[Callback]] = None,
     resume_from: Optional[Union[str, os.PathLike, TrainCheckpoint]] = None,
 ) -> TrainResult:
@@ -489,8 +478,7 @@ def factorize(
     :meth:`HeterogeneousTrainer.fit` run options — stopping conditions
     (``iterations`` / ``target_rmse`` / ``max_simulated_time``), the
     learning-rate ``schedule``, per-iteration training RMSE
-    (``compute_train_rmse``), the data-plane toggle
-    (``use_block_store``), epoch ``callbacks`` and checkpoint
+    (``compute_train_rmse``), epoch ``callbacks`` and checkpoint
     resumption (``resume_from``) — see the method for parameter details.
     ``backend`` selects the execution backend (any registered name;
     ``"simulate"``, ``"threads"`` and ``"processes"`` built in, plus the
@@ -519,7 +507,6 @@ def factorize(
         batch_size=batch_size,
         schedule=schedule,
         compute_train_rmse=compute_train_rmse,
-        use_block_store=use_block_store,
         callbacks=callbacks,
         resume_from=resume_from,
     )

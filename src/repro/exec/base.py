@@ -28,15 +28,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, Union
 
 from ..config import BACKENDS  # noqa: F401  (re-exported; validated there)
-from ..exceptions import ConfigurationError, ExecutionError
+from ..exceptions import ExecutionError
 from ..sgd import FactorModel
-from ..sgd.kernels import (
-    BLOCK_MAJOR_KERNELS,
-    KERNELS,
-    resolve_kernel_name,
-    sgd_block_minibatch,
-    sgd_block_sequential,
-)
+from ..sgd.kernels import KERNELS, resolve_kernel_name, sgd_block_sequential
 from ..sgd.schedules import ConstantSchedule, LearningRateSchedule
 from ..sparse import BlockStore, SparseRatingMatrix
 from .session import EngineSession, run_session
@@ -76,7 +70,7 @@ class EngineResult:
 
     kernel_name: str = ""
     """The concrete SGD kernel every task of the run executed —
-    ``"auto"`` resolved (:func:`effective_kernel_name`), e.g.
+    ``"auto"`` resolved (:func:`~repro.sgd.kernels.resolve_kernel_name`), e.g.
     ``"native"`` or ``"minibatch_local"``."""
 
     @property
@@ -128,79 +122,17 @@ class WallClockResult(EngineResult):
         return self.trace.total_points() / self.trace.final_time
 
 
-def effective_kernel_name(training, exact_kernel=False, block_major=True) -> str:
-    """The concrete kernel a run with these settings executes.
-
-    :func:`~repro.sgd.kernels.resolve_kernel_name` plus the one fact it
-    cannot know: whether the run has block-major data.  Without it the
-    auto-selected band-local kernel has no band frame and the global
-    mini-batch kernel stands in (bitwise-identical to
-    ``"minibatch_local"``); an *explicitly* forced band-local kernel is
-    an error instead of a silent swap.
-    """
-    name = resolve_kernel_name(training.kernel, exact_kernel=exact_kernel)
-    if block_major or name not in BLOCK_MAJOR_KERNELS:
-        return name
-    if training.kernel != "auto":
-        raise ConfigurationError(
-            f'kernel="{name}" requires the block-major data plane; '
-            'enable the block store or use kernel="minibatch" '
-            '(bitwise-identical to "minibatch_local")'
-        )
-    return "minibatch"
-
-
-def apply_task_updates(model, train, task, rate, training, kernel_name, store=None):
-    """Apply one task's SGD updates to the shared factor matrices.
-
-    The single kernel-invocation point used by every backend: both
-    engines must issue byte-identical kernel calls or the 1-worker
-    sim-parity guarantee breaks.  ``kernel_name`` is the run's resolved
-    kernel (:attr:`Engine.kernel_name`), not ``"auto"``.
-
-    When a :class:`~repro.sparse.BlockStore` is given (the engines'
-    default), the task's ratings come as pre-gathered, pre-validated,
-    band-local contiguous arrays and the kernels run with
-    ``validate=False``; without one, the legacy path gathers
-    ``train.*[indices]`` per call and the kernels re-validate.  Within
-    the numpy kernels the two paths are bitwise-identical — the store
-    only changes *where* the gather and the validation happen (once per
-    run instead of once per task per epoch); under ``"auto"`` the store
-    additionally unlocks the ``"native"`` kernel (within 1e-12).
-    """
-    if store is not None:
-        apply_block_data(
-            model.p, model.q, store.task_data(task), rate, training, kernel_name
-        )
-        return
-
-    indices = task.indices()
-    if len(indices) == 0:
-        return
-    if kernel_name == "sequential":
-        sgd_block_sequential(
-            model.p, model.q,
-            train.rows[indices], train.cols[indices], train.vals[indices],
-            rate, training.reg_p, training.reg_q,
-        )
-    else:
-        sgd_block_minibatch(
-            model.p, model.q,
-            train.rows[indices], train.cols[indices], train.vals[indices],
-            rate, training.reg_p, training.reg_q,
-            batch_size=training.effective_batch_size,
-        )
-
-
 def apply_block_data(p, q, data, rate, training, kernel_name):
     """Apply one pre-gathered block record's SGD updates to ``p``/``q``.
 
-    The store-fed half of :func:`apply_task_updates`, factored out so the
-    process backend's workers — which hold shared-memory factor arrays
-    and :class:`~repro.sparse.SharedBlockStore` records rather than a
-    model and a task — issue byte-identical kernel calls to the in-process
-    engines.  ``kernel_name`` must already be resolved
-    (:func:`~repro.sgd.kernels.resolve_kernel_name`).
+    The single kernel-invocation point of every backend: the simulator
+    and the threaded executor pass ``store.task_data(task)`` from their
+    :class:`~repro.sparse.BlockStore`, the process backend's workers a
+    :class:`~repro.sparse.SharedBlockStore` record, so all three issue
+    byte-identical kernel calls (the 1-worker cross-backend parity
+    guarantee rests on it).  The record is pre-gathered and
+    pre-validated, so the kernels run with ``validate=False``.
+    ``kernel_name`` must already be resolved (:attr:`Engine.kernel_name`).
     """
     if data.nnz == 0:
         return
@@ -209,17 +141,11 @@ def apply_block_data(p, q, data, rate, training, kernel_name):
             p, q, data.rows, data.cols, data.vals,
             rate, training.reg_p, training.reg_q, validate=False,
         )
-    elif kernel_name in BLOCK_MAJOR_KERNELS:
+    else:
         KERNELS[kernel_name](
             p, q, data.local_rows, data.local_cols, data.vals,
             rate, training.reg_p, training.reg_q,
             data.row_range, data.col_range,
-            batch_size=training.effective_batch_size, validate=False,
-        )
-    else:
-        sgd_block_minibatch(
-            p, q, data.rows, data.cols, data.vals,
-            rate, training.reg_p, training.reg_q,
             batch_size=training.effective_batch_size, validate=False,
         )
 
@@ -266,13 +192,10 @@ class Engine:
         backend sleeps for this fraction of its task's *simulated* device
         time after the numerical work, emulating device latency against
         real CPU workers.  Zero (the default) disables the emulation.
-    use_block_store:
-        Feed the kernels through the block-major data plane
-        (:class:`~repro.sparse.BlockStore`: per-block contiguous,
-        band-local, validated-once arrays).  Disabling it restores the
-        legacy gather-per-task path — bitwise-identical, only slower —
-        which exists for benchmarking the data plane against its
-        predecessor.
+
+    Rating data reaches the kernels only through the block-major data
+    plane: a :class:`~repro.sparse.BlockStore` of per-block contiguous,
+    band-local arrays, validated once per run.
     """
 
     #: Registry name of the backend (see :mod:`repro.exec.registry`).
@@ -296,7 +219,6 @@ class Engine:
         exact_kernel: bool = False,
         compute_train_rmse: bool = False,
         gpu_latency_scale: float = 0.0,
-        use_block_store: bool = True,
     ) -> None:
         if platform is not None and platform.n_workers != scheduler.n_workers:
             raise self.error_class(
@@ -322,15 +244,13 @@ class Engine:
         self.n_workers = scheduler.n_workers
         # Shared, immutable after materialisation; worker threads read it
         # concurrently without locking (see BlockStore's thread-safety note).
-        self._store = BlockStore(train) if use_block_store else None
+        self._store = BlockStore(train)
         self._started = False
 
     @cached_property
     def kernel_name(self) -> str:
         """The concrete kernel this engine's tasks execute (``"auto"`` resolved once)."""
-        return effective_kernel_name(
-            self.training, self.exact_kernel, block_major=self._store is not None
-        )
+        return resolve_kernel_name(self.training.kernel, self.exact_kernel)
 
     def _gpu_sleep_seconds(self, worker_index: int, task: "Task") -> float:
         """Latency-emulation sleep for a GPU worker's task (0 for CPUs)."""

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
+from ..config import KERNEL_NAMES
 from ..exceptions import CheckpointError
 from .trace import IterationRecord, TaskRecord
 
@@ -204,15 +205,18 @@ class TrainCheckpoint:
             mismatches.append(
                 f"grid {grid_shape} != {self.meta.get('grid_shape')}"
             )
-        # Kernels differ in arithmetic ("native" vs the numpy pair in the
+        # Kernels differ in arithmetic ("native" vs numpy in the
         # last bits, "sequential" vs mini-batch by design): one run must
         # not silently mix two.  Checkpoints older than the field pass.
         kernel = session.engine.kernel_name
-        if self.meta.get("kernel", kernel) != kernel:
-            mismatches.append(
-                f"kernel {kernel!r} != checkpointed {self.meta['kernel']!r} "
-                f"(pass kernel={self.meta['kernel']!r} to continue that run)"
+        saved = self.meta.get("kernel", kernel)
+        if saved != kernel:
+            hint = (
+                f"pass kernel={saved!r} to continue that run"
+                if saved in KERNEL_NAMES
+                else f"kernel {saved!r} no longer exists"
             )
+            mismatches.append(f"kernel {kernel!r} != checkpointed {saved!r} ({hint})")
         if mismatches:
             raise CheckpointError(
                 "checkpoint does not match this run: " + "; ".join(mismatches)

@@ -830,11 +830,6 @@ class ProcessEngine(Engine):
     schedule:
         Rates are priced by the controller at dispatch, so the schedule
         never crosses the process boundary.
-    use_block_store:
-        Must remain ``True``: the shared-memory data plane *is* how
-        rating data reaches the workers.  (The legacy gather-per-task
-        path would mean pickling index arrays per task — the copy tax
-        this backend exists to kill.)
     start_method:
         ``multiprocessing`` start method (``"fork"`` where available by
         default; ``"spawn"`` and ``"forkserver"`` also work — workers
@@ -857,20 +852,12 @@ class ProcessEngine(Engine):
         exact_kernel: bool = False,
         compute_train_rmse: bool = False,
         gpu_latency_scale: float = 0.0,
-        use_block_store: bool = True,
         start_method: Optional[str] = None,
     ) -> None:
         if not process_backend_supported():  # pragma: no cover - exotic platforms
             raise ExecutionError(
                 "this platform does not support the shared-memory process "
                 'backend; use backend="threads"'
-            )
-        if not use_block_store:
-            raise ExecutionError(
-                'the "processes" backend requires the block-major data plane '
-                "(its shared-memory segments are the only zero-copy channel "
-                "for rating data); use the threads backend to benchmark the "
-                "legacy gather path"
             )
         if start_method is not None:
             if start_method not in multiprocessing.get_all_start_methods():

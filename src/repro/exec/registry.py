@@ -12,7 +12,7 @@ process-pool or GPU backend therefore becomes::
     from repro.exec import register_backend
 
     def my_backend(*, scheduler, train, training, test, model, schedule,
-                   platform, compute_train_rmse, use_block_store):
+                   platform, compute_train_rmse):
         return MyEngine(...)
 
     register_backend("mypool", my_backend)
@@ -26,8 +26,7 @@ Factory contract
 A factory is called with keyword arguments only::
 
     factory(scheduler=..., train=..., training=..., test=..., model=...,
-            schedule=..., platform=..., compute_train_rmse=...,
-            use_block_store=...) -> Engine
+            schedule=..., platform=..., compute_train_rmse=...) -> Engine
 
 and must return an object implementing the :class:`repro.exec.Engine`
 protocol (``start()`` / ``run()``).  Factories may ignore arguments they
@@ -132,7 +131,6 @@ _UNSET_PROFILE = object()
 def resolve_backend_name(
     name: str,
     n_workers: Optional[int] = None,
-    use_block_store: bool = True,
     profile=_UNSET_PROFILE,
 ) -> str:
     """Resolve the ``"auto"`` pseudo-backend to a concrete registry name.
@@ -142,19 +140,16 @@ def resolve_backend_name(
     profile's calibrated backend choice — still sanity-bounded to a
     legal configuration for *this* run (see
     :meth:`repro.tune.TunedProfile.resolve_backend`: ``"processes"``
-    demotes to ``"threads"`` for single-worker runs, the legacy gather
-    path, and unsupported platforms).
+    demotes to ``"threads"`` for single-worker runs and unsupported
+    platforms).
 
     Without a profile, ``"auto"`` falls back to the original heuristic:
 
-    * ``"processes"`` when the run has more than one worker, the
+    * ``"processes"`` when the run has more than one worker and the
       platform supports the shared-memory process backend (true
-      multicore scaling — worker processes are not GIL-bound), and the
-      run uses the block-major data plane (the process backend's only
-      rating-data channel);
+      multicore scaling — worker processes are not GIL-bound);
     * ``"threads"`` otherwise — a single worker gains nothing from
-      process isolation, threads need no spawn/attach setup, and only
-      threads support the legacy ``use_block_store=False`` gather path.
+      process isolation, and threads need no spawn/attach setup.
 
     Concrete names (registered or not — validation happens at
     :func:`get_backend` time) pass through unchanged, so callers can
@@ -167,17 +162,10 @@ def resolve_backend_name(
 
         profile = active_profile()
     if profile is not None:
-        return profile.resolve_backend(
-            n_workers=n_workers, use_block_store=use_block_store
-        )
+        return profile.resolve_backend(n_workers=n_workers)
     from .process import process_backend_supported
 
-    if (
-        n_workers is not None
-        and n_workers > 1
-        and use_block_store
-        and process_backend_supported()
-    ):
+    if n_workers is not None and n_workers > 1 and process_backend_supported():
         return "processes"
     return "threads"
 
@@ -204,7 +192,6 @@ def _register_builtin(
         schedule=None,
         platform=None,
         compute_train_rmse=False,
-        use_block_store=True,
     ):
         if requires_platform and platform is None:
             raise ConfigurationError(
@@ -220,7 +207,6 @@ def _register_builtin(
             schedule=schedule,
             platform=platform,
             compute_train_rmse=compute_train_rmse,
-            use_block_store=use_block_store,
         )
 
     register_backend(name, factory)

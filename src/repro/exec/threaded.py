@@ -46,7 +46,7 @@ from typing import List, Optional
 
 from ..exceptions import ExecutionError
 from ..core.tasks import Task
-from .base import Engine, WallClockResult, apply_task_updates
+from .base import Engine, WallClockResult, apply_block_data
 from .session import STOP_CALLBACK, EngineSession, EpochReport
 
 #: Seconds an idle worker waits before re-polling the scheduler.  Idle
@@ -139,9 +139,10 @@ class ThreadedSession(EngineSession):
             self._launch()
         with self._cond:
             # Resume the pool — unless a boundary already queued a report
-            # (a fast worker can reach one before the controller gets
-            # here), in which case the pause it set must stand.
-            if not self._reports:
+            # or is still evaluating one (a fast worker can reach it
+            # before the controller gets here), in which case the pause
+            # it set must stand.
+            if not self._reports and self._boundary is None:
                 self._paused = False
                 self._cond.notify_all()
             while True:
@@ -290,14 +291,13 @@ class ThreadedSession(EngineSession):
     def _execute_task(self, worker_index: int, task: Task, iteration: int) -> None:
         """Apply one task's SGD updates (no lock held — see module docstring)."""
         engine = self._engine
-        apply_task_updates(
-            engine.model,
-            engine.train,
-            task,
+        apply_block_data(
+            engine.model.p,
+            engine.model.q,
+            engine._store.task_data(task),
             engine.schedule(iteration),
             engine.training,
             engine.kernel_name,
-            store=engine._store,
         )
         sleep_s = engine._gpu_sleep_seconds(worker_index, task)
         if sleep_s > 0:

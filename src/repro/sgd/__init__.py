@@ -5,14 +5,14 @@ Implements the numerical core of the paper (Section II):
 * :class:`~repro.sgd.model.FactorModel` — the dense factor matrices
   ``P (m×k)`` and ``Q (k×n)`` with random initialisation, prediction and
   (de)serialisation;
-* :mod:`repro.sgd.kernels` — the kernel registry: an exact per-rating
-  reference kernel matching Algorithm 1, a vectorised mini-batch kernel
-  over global indices, and the block-major ``minibatch_local`` kernel
-  that consumes band-local pre-gathered data (bitwise-identical to the
-  global mini-batch kernel, selected by ``TrainingConfig(kernel=...)``),
-  and its compiled, GIL-releasing twin ``native`` (within 1e-12; built
-  and loaded lazily by :mod:`repro.sgd.native`, the ``"auto"`` choice
-  wherever a C compiler exists);
+* :mod:`repro.sgd.kernels` — the kernel registry (selected by
+  ``TrainingConfig(kernel=...)``): an exact per-rating reference kernel
+  matching Algorithm 1, the block-major ``minibatch_local`` kernel that
+  consumes band-local pre-gathered data, and its compiled, GIL-releasing
+  twin ``native`` (within 1e-12; built and loaded lazily by
+  :mod:`repro.sgd.native`, the ``"auto"`` choice wherever a C compiler
+  exists); plus ``sgd_block_minibatch``, the vectorised mini-batch kernel
+  over global indices that ``minibatch_local`` matches bit for bit;
 * :mod:`repro.sgd.losses` — the regularised squared loss of Equation 2,
   RMSE and MAE;
 * :mod:`repro.sgd.schedules` — learning-rate schedules, including the

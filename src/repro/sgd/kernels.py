@@ -12,22 +12,27 @@ each rating ``(u, v, r)`` in the block,
 
 (Equations 4-6 / Algorithm 1 lines 4-6).
 
-Four kernels are provided, selectable by name through the registry
-(:data:`KERNELS`, :func:`get_kernel`, :func:`resolve_kernel_name`):
+Three kernels are selectable by name through the registry
+(:data:`KERNELS`, :func:`get_kernel`, :func:`resolve_kernel_name`), and
+one more, :func:`sgd_block_minibatch`, is the global-index reference they
+are checked against:
 
 * :func:`sgd_block_sequential` (``"sequential"``) — the exact per-rating
   loop.  This is the numerical reference and the kernel used by the unit
   tests; it is slow in pure Python, so the engines only use it on small
   blocks or when exactness is requested.
-* :func:`sgd_block_minibatch` (``"minibatch"``) — a vectorised kernel
-  that processes the block in mini-batches over *global* row/column
-  indices: within one batch all errors are computed against the factor
-  values at the start of the batch, gradients of ratings touching the
-  same row/column are accumulated with ``np.add.at`` and applied
-  together.  This is the standard mini-batch relaxation of SGD; the
+* :func:`sgd_block_minibatch` (not in the registry) — a vectorised
+  kernel that processes the block in mini-batches over *global*
+  row/column indices: within one batch all errors are computed against
+  the factor values at the start of the batch, gradients of ratings
+  touching the same row/column are accumulated with ``np.add.at`` and
+  applied together.  This is the standard mini-batch relaxation of SGD; the
   accepted substitution for the hand-tuned AVX/CUDA kernels of the paper
   (see DESIGN.md), preserving the update rule while making epoch times
-  practical in numpy.
+  practical in numpy.  It is the kernel of Algorithm 1 over the whole
+  matrix (:func:`repro.sgd.serial.train_serial_sgd`) and the bitwise
+  reference for ``"minibatch_local"``; the engines, whose data arrives
+  block-major, never call it.
 * :func:`sgd_block_minibatch_local` (``"minibatch_local"``) — the
   block-major production kernel.  It consumes *band-local* indices (as
   pre-gathered once per run by :class:`repro.sparse.BlockStore`) and
@@ -64,9 +69,7 @@ Four kernels are provided, selectable by name through the registry
 
 ``"auto"`` (the :class:`~repro.config.TrainingConfig` default) resolves
 to ``"native"`` when it loaded and to ``"minibatch_local"`` otherwise
-(no compiler, failed build or self-check) — in both cases only when
-block-major data is available; without it ``"auto"`` falls back to
-``"minibatch"``.
+(no compiler, failed build or self-check).
 
 All kernels update ``P`` and ``Q`` in place and return the number of
 ratings processed so callers can account work.  Validation of shapes,
@@ -564,19 +567,15 @@ def sgd_block_native(
     return count
 
 
-#: The kernel registry: name -> callable.  ``"sequential"`` and
-#: ``"minibatch"`` take global COO arrays; ``"minibatch_local"`` and
-#: ``"native"`` take band-local indices and the band ranges (the calling
-#: convention the engines satisfy through :class:`repro.sparse.BlockStore`).
+#: The kernel registry: name -> callable.  ``"sequential"`` takes global
+#: COO arrays; ``"minibatch_local"`` and ``"native"`` take band-local
+#: indices and the band ranges (the calling convention the engines satisfy
+#: through :class:`repro.sparse.BlockStore`).
 KERNELS = {
     "sequential": sgd_block_sequential,
-    "minibatch": sgd_block_minibatch,
     "minibatch_local": sgd_block_minibatch_local,
     "native": sgd_block_native,
 }
-
-#: Kernels that need the block-major data plane (band-local indices).
-BLOCK_MAJOR_KERNELS = ("minibatch_local", "native")
 
 if set(KERNELS) | {"auto"} != set(KERNEL_NAMES):  # pragma: no cover
     raise ImportError(
@@ -610,9 +609,7 @@ def resolve_kernel_name(name: str, exact_kernel: bool = False) -> str:
     does not load (no compiler, failed build; see
     :func:`repro.sgd.native.native_status`), which is the pre-native
     default bit for bit.  Both are block-major kernels: the engines feed
-    them pre-validated :class:`~repro.sparse.BlockStore` data, and callers
-    without block-major data fall back to ``"minibatch"``
-    (bitwise-identical to ``"minibatch_local"``).
+    them pre-validated :class:`~repro.sparse.BlockStore` data.
 
     An explicit ``"native"`` that cannot be honoured raises
     :class:`~repro.exceptions.ConfigurationError` carrying the reason.

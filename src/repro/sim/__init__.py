@@ -11,7 +11,7 @@ timing, which is what lets the reproduction regenerate both the quality
 figures (12, 13) and the running-time figures (10, 11) without a GPU.
 """
 
-from .trace import ExecutionTrace, IterationRecord, TaskRecord, WorkerStats
+from ..exec.trace import ExecutionTrace, IterationRecord, TaskRecord, WorkerStats
 from .engine import SimulationEngine, SimulationResult, SimulationSession
 
 __all__ = [

@@ -38,7 +38,7 @@ from typing import List, Optional
 
 from ..config import TrainingConfig
 from ..exceptions import SimulationError
-from ..exec.base import Engine, EngineResult, apply_task_updates
+from ..exec.base import Engine, EngineResult, apply_block_data
 from ..exec.session import EngineSession, EpochReport
 from ..hardware import HeterogeneousPlatform
 from ..sgd import FactorModel
@@ -280,7 +280,6 @@ class SimulationEngine(Engine):
         schedule: Optional[LearningRateSchedule] = None,
         exact_kernel: bool = False,
         compute_train_rmse: bool = False,
-        use_block_store: bool = True,
     ) -> None:
         super().__init__(
             scheduler,
@@ -292,7 +291,6 @@ class SimulationEngine(Engine):
             platform=platform,
             exact_kernel=exact_kernel,
             compute_train_rmse=compute_train_rmse,
-            use_block_store=use_block_store,
         )
         self._devices = platform.all_devices
 
@@ -301,14 +299,13 @@ class SimulationEngine(Engine):
     # ------------------------------------------------------------------ #
     def _apply_task(self, task: Task, iteration: int) -> None:
         """Apply the SGD updates of one task to the shared factor model."""
-        apply_task_updates(
-            self.model,
-            self.train,
-            task,
+        apply_block_data(
+            self.model.p,
+            self.model.q,
+            self._store.task_data(task),
             self.schedule(iteration),
             self.training,
             self.kernel_name,
-            store=self._store,
         )
 
     def _task_duration(self, task: Task) -> float:

@@ -20,12 +20,12 @@ This module materialises that layout once per run:
   multi-block tasks) to their :class:`BlockData`, so each block is
   gathered and validated exactly once no matter how many epochs touch it.
 
-Engines hand ``BlockData`` straight to
-:func:`repro.sgd.kernels.sgd_block_minibatch_local`, which scatters into
-band-slice views of ``P``/``Q`` using the local indices.  Every backend —
-the simulator, the thread pool, and future process/GPU backends —
-inherits the same data plane through
-:func:`repro.exec.base.apply_task_updates`.
+Engines hand ``BlockData`` straight to the block-major kernels
+(:func:`repro.sgd.kernels.sgd_block_minibatch_local` and its native
+twin), which scatter into band-slice views of ``P``/``Q`` using the local
+indices.  The store is the only way rating data reaches a kernel: every
+backend — the simulator, the thread pool and the process pool — calls
+:func:`repro.exec.base.apply_block_data` with a record from it.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ Five probe sections, one per tunable family:
     Wall-clock :func:`~repro.sgd.kernels.sgd_block_minibatch` sweeps per
     mini-batch candidate over geometric data prefixes; a linear CPU cost
     model is fitted on all but the largest prefix and judged on the
-    largest.  Also times the ``minibatch``, ``minibatch_local`` and —
-    where it loads — ``native`` kernels to pin the fastest one.
+    largest.  Also times the ``minibatch_local`` and — where it loads —
+    ``native`` kernels to pin the faster one.
 ``backend``
     Small end-to-end :func:`~repro.core.factorize` runs per execution
     backend and worker count.  The "prediction" is the naive linear
@@ -295,9 +295,9 @@ def probe_train_kernel(
     if full_measured[DEFAULT_BATCH_SIZE] < full_measured[chosen]:
         chosen = DEFAULT_BATCH_SIZE
 
-    # Kernel pin: the numpy pair is bitwise-identical and the native
-    # kernel agrees with it to 1e-12, so timing is what is at stake.  No
-    # prediction — report the measurement.  Q is laid out item-major, as
+    # Kernel pin: the native kernel agrees with the numpy one to 1e-12,
+    # so timing is what is at stake.  No prediction — report the
+    # measurement.  Q is laid out item-major, as
     # FactorModel feeds every engine (the band-local kernels' fast path).
     rows, cols, vals = matrix.rows, matrix.cols, matrix.vals
     q0_item_major = np.ascontiguousarray(q0.T)
@@ -311,12 +311,10 @@ def probe_train_kernel(
 
         return _best_of(one, repeats)
 
-    kernel_times = {"minibatch": time_kernel(sgd_block_minibatch)}
-    band_local = {"minibatch_local": sgd_block_minibatch_local}
+    kernel_fns = {"minibatch_local": sgd_block_minibatch_local}
     if native_status()[0]:
-        band_local["native"] = sgd_block_native
-    for name, fn in band_local.items():
-        kernel_times[name] = time_kernel(fn, row_range=(0, m), col_range=(0, n))
+        kernel_fns["native"] = sgd_block_native
+    kernel_times = {name: time_kernel(fn, row_range=(0, m), col_range=(0, n)) for name, fn in kernel_fns.items()}
     kernel = min(kernel_times, key=kernel_times.get)
     for name, seconds in sorted(kernel_times.items()):
         probes.append(

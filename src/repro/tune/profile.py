@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional, Union
@@ -56,12 +57,12 @@ PROFILE_SCHEMA_VERSION = 1
 #: :mod:`repro.config`, the import-cycle-free home).
 AUTO = AUTO_TUNABLE
 
-#: Kernels a profile may pin for ``kernel="auto"``: the mini-batch
-#: family.  The numpy pair is bitwise-identical and ``"native"`` agrees
-#: with it to 1e-12 (same batches, same update order; only the dot
-#: product's summation order differs), so a profile changes training
-#: *speed* and, across the numpy/native line, results in the last bits
-#: only.  A profile naming ``"native"`` on a machine where it does not
+#: Kernels a profile may pin for ``kernel="auto"``: the block-major
+#: mini-batch kernels.  ``"native"`` agrees with the numpy
+#: ``"minibatch_local"`` to 1e-12 (same batches, same update order; only
+#: the dot product's summation order differs), so a profile changes
+#: training *speed* and, across the numpy/native line, results in the
+#: last bits only.  A profile naming ``"native"`` on a machine where it does not
 #: load demotes to ``"minibatch_local"``
 #: (:func:`repro.sgd.kernels.resolve_kernel_name`), like an illegal
 #: ``"processes"`` pick demotes to ``"threads"``.  The ``"sequential"``
@@ -75,6 +76,12 @@ _CONCRETE_KERNELS = tuple(
 def _require_positive_int(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
         raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _require_finite(value: Any, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
@@ -174,22 +181,31 @@ class TunedProfile:
                 f"unsupported profile schema version {self.schema_version!r} "
                 f"(this library reads version {PROFILE_SCHEMA_VERSION})"
             )
+        if not isinstance(self.fingerprint, dict):
+            raise ConfigurationError(f"profile fingerprint must be an object, got {self.fingerprint!r}")
+        if not isinstance(self.quick, bool):
+            raise ConfigurationError(f"profile quick must be a boolean, got {self.quick!r}")
+        if self.created_unix is not None:
+            _require_finite(self.created_unix, "profile created_unix")
+        if not isinstance(self.predict_error, dict):
+            raise ConfigurationError(f"profile predict_error must be an object, got {self.predict_error!r}")
+        for section, error in self.predict_error.items():
+            _require_finite(error, f"profile predict_error[{section!r}]")
+        if self.alpha is not None and not 0.0 <= _require_finite(self.alpha, "profile alpha") <= 1.0:
+            raise ConfigurationError(f"profile alpha must lie in [0, 1], got {self.alpha!r}")
 
     # ------------------------------------------------------------------ #
     # Resolution
     # ------------------------------------------------------------------ #
-    def resolve_backend(
-        self, n_workers: Optional[int] = None, use_block_store: bool = True
-    ) -> str:
+    def resolve_backend(self, n_workers: Optional[int] = None) -> str:
         """The backend this profile picks for a run of ``n_workers``.
 
         The profile's choice is still sanity-bounded by the same
         platform facts the no-profile heuristic checks: ``"processes"``
-        demotes to ``"threads"`` for single-worker runs, for the legacy
-        gather path (``use_block_store=False``, which only threads
-        implement), and on platforms without shared-memory
-        multiprocessing — so a profile calibrated on a big machine still
-        resolves to a *legal* configuration on a 1-core container.
+        demotes to ``"threads"`` for single-worker runs and on platforms
+        without shared-memory multiprocessing — so a profile calibrated
+        on a big machine still resolves to a *legal* configuration on a
+        1-core container.
         """
         choice = self.training.backend
         if choice != "processes":
@@ -197,7 +213,7 @@ class TunedProfile:
         workers = n_workers if n_workers is not None else self.training.workers
         from ..exec.process import process_backend_supported
 
-        if workers > 1 and use_block_store and process_backend_supported():
+        if workers > 1 and process_backend_supported():
             return "processes"
         return "threads"
 

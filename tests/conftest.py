@@ -22,7 +22,8 @@ def no_native_kernel(monkeypatch):
     """Force the no-compiler fallback: ``"auto"`` resolves to ``"minibatch_local"``.
 
     What a machine without a C compiler sees — the pre-native default,
-    under which every bitwise ``auto`` == ``minibatch`` pin must still hold.
+    under which every bitwise ``auto`` == ``minibatch_local`` pin (and the
+    engine digest pins of ``tests/test_kernel_registry.py``) must hold.
     """
     from repro.sgd import native
 

@@ -3,11 +3,12 @@
 The contract under test is strong: ``sgd_block_minibatch_local`` is a
 *bitwise-identical* restatement of ``sgd_block_minibatch`` over the
 block's own coordinate frame, and the engines' block-major data plane
-(``kernel="auto"`` + :class:`repro.sparse.BlockStore`) is a
-bitwise-identical replacement for the legacy gather-per-task path.
-Every parity assertion below is ``assert_array_equal`` — exact equality,
-no tolerances.
+(``kernel="auto"`` + :class:`repro.sparse.BlockStore`) reproduces the
+sha256 digests recorded while the gather-per-task path it replaced still
+existed.  Every parity assertion below is exact equality, no tolerances.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.core import GreedyBlockScheduler, HeterogeneousTrainer
 from repro.core.partition import uniform_partition
 from repro.exceptions import ConfigurationError, InvalidMatrixError
 from repro.hardware import HeterogeneousPlatform, paper_machine_preset
-from repro.exec import ThreadedEngine
+from repro.exec import ProcessEngine, ThreadedEngine
 from repro.sgd import (
     KERNEL_NAMES,
     KERNELS,
@@ -53,7 +54,6 @@ class TestRegistry:
 
     def test_get_kernel(self):
         assert get_kernel("sequential") is sgd_block_sequential
-        assert get_kernel("minibatch") is sgd_block_minibatch
         assert get_kernel("minibatch_local") is sgd_block_minibatch_local
         with pytest.raises(ConfigurationError):
             get_kernel("auto")  # config alias, not a registry entry
@@ -66,16 +66,23 @@ class TestRegistry:
         expected = "native" if native_status()[0] else "minibatch_local"
         assert resolve_kernel_name("auto") == expected
         assert resolve_kernel_name("minibatch_local") == "minibatch_local"
-        assert resolve_kernel_name("minibatch") == "minibatch"
         assert resolve_kernel_name("sequential") == "sequential"
         assert resolve_kernel_name("auto", exact_kernel=True) == "sequential"
-        assert resolve_kernel_name("minibatch", exact_kernel=True) == "sequential"
+        assert resolve_kernel_name("minibatch_local", exact_kernel=True) == "sequential"
         with pytest.raises(ConfigurationError):
             resolve_kernel_name("warp")
 
+    def test_removed_minibatch_name_is_rejected(self):
+        # The global-index kernel left the registry; the name fails typed.
+        assert CONFIG_KERNEL_NAMES == ("auto", "minibatch_local", "native", "sequential")
+        with pytest.raises(ConfigurationError, match="'minibatch'"):
+            TrainingConfig(kernel="minibatch")
+        with pytest.raises(ConfigurationError, match="'minibatch'"):
+            resolve_kernel_name("minibatch")
+
     def test_training_config_kernel_validation(self):
         assert TrainingConfig().kernel == "auto"
-        assert TrainingConfig(kernel="minibatch").kernel == "minibatch"
+        assert TrainingConfig(kernel="minibatch_local").kernel == "minibatch_local"
         assert TrainingConfig().with_kernel("sequential").kernel == "sequential"
         with pytest.raises(ConfigurationError):
             TrainingConfig(kernel="warp")
@@ -299,132 +306,101 @@ class TestScatterStaysInBand:
         assert not np.array_equal(touched, p_before[r0:r0 + band_rows])
 
 
-@pytest.mark.usefixtures("no_native_kernel")
 class TestEngineLevelParity:
-    """kernel='auto' + BlockStore  ==  pre-PR minibatch path, bitwise.
-
-    Pinned on the no-compiler fallback (``auto`` -> ``minibatch_local``):
-    the native kernel agrees with the numpy pair to 1e-12, not bit for
-    bit (``tests/test_native_kernel.py``).
-    """
-
-    def _one_worker_engines(self, train, test, training, kernel, use_block_store):
-        grid = uniform_partition(train, 3, 3)
-        scheduler = GreedyBlockScheduler(grid, 1, 0, seed=0)
+    def test_exact_kernel_still_overrides(self, small_split, small_training):
+        """exact_kernel=True must force the sequential reference regardless
+        of the configured kernel."""
+        train, test = small_split
         platform = HeterogeneousPlatform.from_preset(
             HardwareConfig(cpu_threads=1, gpu_count=0),
             paper_machine_preset().scaled(1e-3),
         )
-        sim = SimulationEngine(
-            scheduler=scheduler, platform=platform, train=train,
-            training=training.with_kernel(kernel), test=test,
-            use_block_store=use_block_store,
+
+        def run(training, exact_kernel):
+            return SimulationEngine(
+                scheduler=GreedyBlockScheduler(uniform_partition(train, 2, 2), 1, 0, seed=0),
+                platform=platform, train=train, training=training,
+                test=test, exact_kernel=exact_kernel,
+            ).run(iterations=1)
+
+        overridden = run(small_training, exact_kernel=True)
+        explicit = run(small_training.with_kernel("sequential"), exact_kernel=False)
+        assert overridden.kernel_name == "sequential"
+        np.testing.assert_array_equal(overridden.model.p, explicit.model.p)
+        np.testing.assert_array_equal(overridden.model.q, explicit.model.q)
+
+def _digests(result) -> dict:
+    """sha256 of the trained factors and of the per-epoch test-RMSE bytes."""
+    rmse = np.array([r.test_rmse for r in result.trace.iterations], dtype=np.float64)
+    return {
+        name: hashlib.sha256(array.tobytes()).hexdigest()
+        for name, array in (
+            ("p", result.model.p), ("q", result.model.q), ("test_rmse", rmse)
         )
-        return sim
+    }
 
-    def test_simulate_auto_matches_legacy_minibatch_path(
-        self, small_split, small_training
-    ):
-        train, test = small_split
-        new = self._one_worker_engines(
-            train, test, small_training, "auto", True
-        ).run(iterations=3)
-        legacy = self._one_worker_engines(
-            train, test, small_training, "minibatch", False
-        ).run(iterations=3)
-        np.testing.assert_array_equal(new.model.p, legacy.model.p)
-        np.testing.assert_array_equal(new.model.q, legacy.model.q)
-        assert [r.test_rmse for r in new.trace.iterations] == [
-            r.test_rmse for r in legacy.trace.iterations
-        ]
 
-    def test_threaded_auto_matches_legacy_minibatch_path(
-        self, small_split, small_training
-    ):
-        train, test = small_split
+#: Digests of the engines' block-major data plane, recorded while the
+#: pre-block-store gather path and the global-index mini-batch engine
+#: kernel still existed (and matched them bit for bit).  ``"auto"`` runs
+#: the numpy ``minibatch_local`` kernel (``no_native_kernel``); ``"exact"``
+#: the sequential reference.  1-worker simulate, threads and processes
+#: runs share one digest per kernel.  The numpy kernels' dot products go
+#: through ``np.einsum``, so the constants hold for a given numpy build.
+PINNED_ENGINE_DIGESTS = {
+    "auto": {
+        "p": "fb606e5edc169ca0f4ddf52334fac707c89f4383104e7adfb93f7e0706189c29",
+        "q": "bc5d72c154e786e3f9af85b03e6de9f84218d3beb8c4fbe7d847af67307e6c16",
+        "test_rmse": "6fd8272fd24bb6e4b6184e069bd29e8b146bbc040e0b1f16c958cad1caa96f18",
+    },
+    "exact": {
+        "p": "6915f37e0aea37626131d05f10b86c1dbea34a771464f5ab48f4472bba1dbdfc",
+        "q": "49889633d944ca232e1c397e12d2c551dc0750b6df3f05e63e6a210fee96c799",
+        "test_rmse": "5097638a0c94a302d7848f8a7939b25422f6116fede33e27b5403a06060c1466",
+    },
+    "hsgd_star": {
+        "p": "bb1a9e7c8c1cf9a7787407005c13f0c15ae7ae3120bda7f10ae31a84a01e3905",
+        "q": "15c44accf9732e306de424fcd8e43d24e815d484aa2ec72f217e6c2f30326aa7",
+        "test_rmse": "9607fe69010213f422f049103e63f63d5d58932d5cac2248ef47ea2384ea5815",
+    },
+}
 
-        def run(kernel, use_block_store):
-            grid = uniform_partition(train, 3, 3)
-            scheduler = GreedyBlockScheduler(grid, 1, 0, seed=0)
-            engine = ThreadedEngine(
-                scheduler=scheduler, train=train,
-                training=small_training.with_kernel(kernel), test=test,
-                use_block_store=use_block_store,
+
+@pytest.mark.usefixtures("no_native_kernel")
+class TestEngineDigestsPinned:
+    """The engines' factors and RMSE curves, pinned across all backends."""
+
+    @staticmethod
+    def _one_worker_run(backend, train, test, training, exact_kernel):
+        scheduler = GreedyBlockScheduler(uniform_partition(train, 3, 3), 1, 0, seed=0)
+        kwargs = dict(
+            scheduler=scheduler, train=train, training=training, test=test,
+            exact_kernel=exact_kernel,
+        )
+        if backend == "simulate":
+            platform = HeterogeneousPlatform.from_preset(
+                HardwareConfig(cpu_threads=1, gpu_count=0),
+                paper_machine_preset().scaled(1e-3),
             )
-            return engine.run(iterations=3)
+            engine = SimulationEngine(platform=platform, **kwargs)
+        else:
+            engine = {"threads": ThreadedEngine, "processes": ProcessEngine}[backend](**kwargs)
+        return engine.run(iterations=3)
 
-        new = run("auto", True)
-        legacy = run("minibatch", False)
-        np.testing.assert_array_equal(new.model.p, legacy.model.p)
-        np.testing.assert_array_equal(new.model.q, legacy.model.q)
-
-    def test_trainer_kernel_override_plumbs_through(
-        self, small_split, small_hardware, small_training, scaled_preset
-    ):
+    @pytest.mark.parametrize("backend", ["simulate", "threads", "processes"])
+    @pytest.mark.parametrize("kernel", ["auto", "exact"])
+    def test_one_worker_engines(self, backend, kernel, small_split, small_training):
         train, test = small_split
+        result = self._one_worker_run(
+            backend, train, test, small_training, exact_kernel=kernel == "exact"
+        )
+        assert _digests(result) == PINNED_ENGINE_DIGESTS[kernel]
 
-        def fit(kernel, use_block_store=True):
-            trainer = HeterogeneousTrainer(
-                algorithm="hsgd_star", hardware=small_hardware,
-                training=small_training, preset=scaled_preset, seed=0,
-            )
-            return trainer.fit(
-                train, test, iterations=2, kernel=kernel,
-                use_block_store=use_block_store,
-            )
-
-        new = fit("auto")
-        legacy = fit("minibatch", use_block_store=False)
-        # The simulate backend is deterministic even with many workers,
-        # so the full fit pipeline must agree bit for bit.
-        np.testing.assert_array_equal(new.model.p, legacy.model.p)
-        np.testing.assert_array_equal(new.model.q, legacy.model.q)
-        with pytest.raises(ConfigurationError):
-            fit("warp")
-
-    def test_explicit_local_kernel_without_store_rejected(
-        self, small_split, small_hardware, small_training, scaled_preset
-    ):
-        """An explicitly forced local kernel must not be silently swapped
-        for the global one when the block store is disabled; only "auto"
-        degrades gracefully."""
+    def test_hsgd_star_fit(self, small_split, small_hardware, small_training, scaled_preset):
         train, test = small_split
         trainer = HeterogeneousTrainer(
             algorithm="hsgd_star", hardware=small_hardware,
             training=small_training, preset=scaled_preset, seed=0,
         )
-        with pytest.raises(ConfigurationError, match="block-major data plane"):
-            trainer.fit(
-                train, test, iterations=1, kernel="minibatch_local",
-                use_block_store=False,
-            )
-        # "auto" without a store falls back to the bitwise-identical
-        # global kernel instead of failing.
-        result = trainer.fit(
-            train, test, iterations=1, kernel="auto", use_block_store=False,
-        )
-        assert result.final_test_rmse is not None
-
-    def test_exact_kernel_still_overrides(self, small_split, small_training):
-        """exact_kernel=True must force the sequential reference regardless
-        of the configured kernel, store or not."""
-        train, test = small_split
-        grid_a = uniform_partition(train, 2, 2)
-        grid_b = uniform_partition(train, 2, 2)
-        platform = HeterogeneousPlatform.from_preset(
-            HardwareConfig(cpu_threads=1, gpu_count=0),
-            paper_machine_preset().scaled(1e-3),
-        )
-        with_store = SimulationEngine(
-            scheduler=GreedyBlockScheduler(grid_a, 1, 0, seed=0),
-            platform=platform, train=train, training=small_training,
-            test=test, exact_kernel=True,
-        ).run(iterations=1)
-        without_store = SimulationEngine(
-            scheduler=GreedyBlockScheduler(grid_b, 1, 0, seed=0),
-            platform=platform, train=train, training=small_training,
-            test=test, exact_kernel=True, use_block_store=False,
-        ).run(iterations=1)
-        np.testing.assert_array_equal(
-            with_store.model.p, without_store.model.p
-        )
+        result = trainer.fit(train, test, iterations=2, kernel="auto")
+        assert _digests(result) == PINNED_ENGINE_DIGESTS["hsgd_star"]

@@ -282,11 +282,6 @@ class TestEnginePinsUnderNative:
         curves = [np.array([r.test_rmse for r in run.trace.iterations]) for run in runs]
         assert np.abs(curves[0] - curves[1]).max() <= 1e-9
 
-    def test_explicit_native_without_the_block_store_is_rejected(self, small_split, small_training):
-        train, test = small_split
-        with pytest.raises(ConfigurationError, match="block-major data plane"):
-            factorize(train, test, training=small_training, kernel="native", use_block_store=False, iterations=1)
-
 
 class TestVisibility:
     def test_result_carries_the_resolved_kernel(self, small_split, small_training, one_worker_platform):
@@ -294,23 +289,30 @@ class TestVisibility:
         expected = "native" if native_status()[0] else "minibatch_local"
         result = _engine("simulate", train, test, small_training, one_worker_platform).run(iterations=1)
         assert result.kernel_name == expected
-        fitted = factorize(train, test, training=small_training, iterations=1, kernel="minibatch")
-        assert fitted.kernel_name == "minibatch"
-        # Without block-major data "auto" runs the global kernel, and says so.
-        legacy = factorize(train, test, training=small_training, iterations=1, use_block_store=False)
-        assert legacy.kernel_name == "minibatch"
+        fitted = factorize(train, test, training=small_training, iterations=1, kernel="sequential")
+        assert fitted.kernel_name == "sequential"
 
     def test_resuming_under_another_kernel_is_refused(self, small_split, small_training, one_worker_platform):
         train, test = small_split
         args = ("simulate", train, test, small_training.with_kernel("minibatch_local"), one_worker_platform)
         checkpoint = _checkpoint_at(1, *args)
         assert checkpoint.meta["kernel"] == "minibatch_local"
-        other = ("simulate", train, test, small_training.with_kernel("minibatch"), one_worker_platform)
-        with pytest.raises(CheckpointError, match="kernel 'minibatch' != checkpointed 'minibatch_local'"):
+        other = ("simulate", train, test, small_training.with_kernel("sequential"), one_worker_platform)
+        with pytest.raises(CheckpointError, match="kernel 'sequential' != checkpointed 'minibatch_local'"):
             _resume(checkpoint, 2, *other)
         # A checkpoint written before the field existed still restores.
         del checkpoint.meta["kernel"]
         assert len(_resume(checkpoint, 2, *other).trace.iterations) == 2
+
+    def test_resuming_a_checkpoint_of_the_removed_minibatch_kernel_is_refused(
+        self, small_split, small_training, one_worker_platform
+    ):
+        train, test = small_split
+        args = ("simulate", train, test, small_training.with_kernel("minibatch_local"), one_worker_platform)
+        checkpoint = _checkpoint_at(1, *args)
+        checkpoint.meta["kernel"] = "minibatch"
+        with pytest.raises(CheckpointError, match="checkpointed 'minibatch' .*kernel 'minibatch' no longer exists"):
+            _resume(checkpoint, 2, *args)
 
     def test_cli_prints_the_resolved_kernel_and_the_reason(self, capsys, no_native_kernel):
         from repro.cli import main
@@ -422,7 +424,7 @@ class TestFallbacks:
         train, test = small_split
         kwargs = dict(training=small_training, iterations=2, hardware=HardwareConfig(cpu_threads=2, gpu_count=0))
         auto = factorize(train, test, **kwargs)
-        pinned = factorize(train, test, kernel="minibatch", **kwargs)
+        pinned = factorize(train, test, kernel="minibatch_local", **kwargs)
         assert auto.kernel_name == "minibatch_local"
         np.testing.assert_array_equal(auto.model.p, pinned.model.p)
         np.testing.assert_array_equal(auto.model.q, pinned.model.q)

@@ -305,24 +305,8 @@ class TestValidationAndPlumbing:
         assert resolve_backend_name("auto", n_workers=4) == "processes"
         assert resolve_backend_name("auto", n_workers=1) == "threads"
         assert resolve_backend_name("auto", n_workers=None) == "threads"
-        # The legacy gather path only exists on threads; auto must not
-        # resolve to a backend that would reject the run.
-        assert resolve_backend_name("auto", n_workers=4, use_block_store=False) == "threads"
         assert resolve_backend_name("simulate", n_workers=8) == "simulate"
         assert TrainingConfig(backend="auto").backend == "auto"
-
-    def test_fit_auto_with_legacy_data_plane_falls_back_to_threads(
-        self, small_split, small_hardware, small_training, scaled_preset
-    ):
-        train, test = small_split
-        trainer = HeterogeneousTrainer(
-            algorithm="hsgd_star", hardware=small_hardware,
-            training=small_training, preset=scaled_preset, seed=0,
-        )
-        result = trainer.fit(
-            train, test, iterations=1, backend="auto", use_block_store=False
-        )
-        assert result.backend == "threads"
 
     def test_controller_drops_private_block_copies_after_sharing(
         self, small_split, small_training
@@ -356,11 +340,6 @@ class TestValidationAndPlumbing:
         assert result.backend == "processes"
         # 2 CPU workers + the default GPU: worker indices stay in range.
         assert {t.worker_index for t in result.trace.tasks} <= set(range(3))
-
-    def test_requires_block_store(self, small_split, small_training):
-        train, test = small_split
-        with pytest.raises(ExecutionError, match="block-major"):
-            _process_engine(train, test, small_training, use_block_store=False)
 
     def test_single_use(self, small_split, small_training):
         train, test = small_split

@@ -198,6 +198,40 @@ class TestStepwiseProtocol:
             pass
         assert len(session.finish().trace.iterations) == 3
 
+    def test_threaded_pause_holds_while_the_boundary_report_is_pending(
+        self, small_split, small_training, monkeypatch
+    ):
+        """The first step() must not lift a pause that a worker set at a
+        boundary whose report is still being evaluated: the pool reaches
+        boundary 0 between thread launch and the controller taking the
+        lock, and the RMSE evaluation is still running when it does."""
+        import time
+
+        from repro.exec.threaded import ThreadedSession
+
+        launch, evaluate = ThreadedSession._launch, ThreadedSession.evaluate
+
+        def slow_launch(session):
+            launch(session)
+            time.sleep(0.2)  # boundary 0 opens meanwhile
+
+        def slow_evaluate(session):
+            time.sleep(0.4)  # ...and is still open when the controller looks
+            return evaluate(session)
+
+        monkeypatch.setattr(ThreadedSession, "_launch", slow_launch)
+        monkeypatch.setattr(ThreadedSession, "evaluate", slow_evaluate)
+        train, test = small_split
+        session = _threaded_engine(train, test, small_training, n_workers=2).start(
+            iterations=2, pause_on_epoch=True
+        )
+        assert session.step().epoch == 0
+        state = session.state_dict()
+        assert state["in_flight"] == [] and state["iteration"] == 1
+        while session.step() is not None:
+            pass
+        assert len(session.finish().trace.iterations) == 2
+
     def test_epoch_report_from_both_engines_match_fields(
         self, small_split, small_training, scaled_preset
     ):
@@ -738,21 +772,6 @@ class TestFactorizeParity:
             compute_train_rmse=True,
         )
         assert all(r.train_rmse is not None for r in result.trace.iterations)
-
-    def test_use_block_store_off_is_bitwise_identical(
-        self, small_split, small_hardware, small_training, scaled_preset, no_native_kernel
-    ):
-        # Bitwise within the numpy kernel pair; with the native kernel the
-        # store-less path runs "minibatch", which agrees to 1e-12 only.
-        train, test = small_split
-        kwargs = dict(
-            algorithm="hsgd", hardware=small_hardware, training=small_training,
-            preset=scaled_preset, iterations=2,
-        )
-        with_store = factorize(train, test, **kwargs)
-        without = factorize(train, test, use_block_store=False, **kwargs)
-        np.testing.assert_array_equal(with_store.model.p, without.model.p)
-        np.testing.assert_array_equal(with_store.model.q, without.model.q)
 
     def test_factorize_callbacks_and_resume(self, small_split, small_hardware, small_training, scaled_preset, tmp_path):
         train, test = small_split

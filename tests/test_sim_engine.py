@@ -13,7 +13,7 @@ from repro.exceptions import SimulationError
 from repro.hardware import HeterogeneousPlatform
 from repro.sgd import rmse
 from repro.sim import ExecutionTrace, IterationRecord, SimulationEngine, TaskRecord
-from repro.sim.trace import WorkerStats
+from repro.exec.trace import WorkerStats
 
 
 def _engine(train, test, platform, training, scheduler, **kwargs):

@@ -22,6 +22,7 @@ Four properties carry the PR's guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -30,10 +31,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_BATCH_SIZE, TrainingConfig
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.exec import process_backend_supported, resolve_backend_name
+from repro.hardware import fingerprint_matches
 from repro.serve.bench import synthetic_model
 from repro.serve.scorer import DEFAULT_CHUNK_ITEMS, Scorer
 from repro.serve.service import DEFAULT_SERVICE_BATCH, RecommendationService
@@ -85,7 +89,7 @@ def profile():
     return TunedProfile(
         fingerprint={"machine": "testbox"},
         training=TrainingTunables(
-            backend="processes", workers=4, batch_size=1024, kernel="minibatch"
+            backend="processes", workers=4, batch_size=1024, kernel="minibatch_local"
         ),
         serving=ServingTunables(chunk_items=2048, batch_size=128),
         stream=StreamTunables(gram_chunk_elements=750_000, foldin_batch_users=64),
@@ -180,10 +184,6 @@ class TestNoProfilePinning:
         assert resolve_backend_name("auto", n_workers=4) == "processes"
         assert resolve_backend_name("auto", n_workers=1) == "threads"
         assert resolve_backend_name("auto", n_workers=None) == "threads"
-        assert (
-            resolve_backend_name("auto", n_workers=4, use_block_store=False)
-            == "threads"
-        )
         assert resolve_backend_name("simulate", n_workers=8) == "simulate"
 
     def test_explicit_none_profile_forces_heuristic(self, profile):
@@ -193,12 +193,6 @@ class TestNoProfilePinning:
             assert resolve_backend_name("auto", n_workers=1, profile=None) == "threads"
             assert (
                 resolve_backend_name("auto", n_workers=4, profile=None) == "processes"
-            )
-            assert (
-                resolve_backend_name(
-                    "auto", n_workers=4, use_block_store=False, profile=None
-                )
-                == "threads"
             )
 
     def test_kernel_default_unchanged(self, no_native_kernel):
@@ -251,7 +245,7 @@ class TestProfileResolution:
     def test_training_knobs_resolve_through_profile(self, profile):
         with use_profile(profile):
             assert TrainingConfig(batch_size=AUTO).effective_batch_size == 1024
-            assert resolve_kernel_name("auto") == "minibatch"
+            assert resolve_kernel_name("auto") == "minibatch_local"
             assert resolve_workers(AUTO, 1) == 4
         # Explicit integers always win over the profile.
         with use_profile(profile):
@@ -264,10 +258,6 @@ class TestProfileResolution:
             # A multi-worker profile choice still demotes for runs the
             # process backend cannot serve.
             assert resolve_backend_name("auto", n_workers=1) == "threads"
-            assert (
-                resolve_backend_name("auto", n_workers=4, use_block_store=False)
-                == "threads"
-            )
             # Concrete names bypass the profile entirely.
             assert resolve_backend_name("simulate", n_workers=8) == "simulate"
 
@@ -318,7 +308,7 @@ class TestNativeKernelInProfiles:
         outcome = run_tune(quick=True, seed=0, sections=["train_batch"])
         probes = outcome.payload["tune"]["sections"]["train_batch"]["probes"]
         timed = {probe["config"]["kernel"] for probe in probes if "kernel" in probe["config"]}
-        expected = {"minibatch", "minibatch_local"} | ({"native"} if native_status()[0] else set())
+        expected = {"minibatch_local"} | ({"native"} if native_status()[0] else set())
         assert timed == expected
         assert outcome.profile.training.kernel in expected
 
@@ -365,7 +355,7 @@ class TestRunTune:
         with use_profile(profile):
             backend = resolve_backend_name("auto", n_workers=None)
             assert backend in ("threads", "processes")
-            legal = ("minibatch", "minibatch_local") + (("native",) if native_status()[0] else ())
+            legal = ("minibatch_local",) + (("native",) if native_status()[0] else ())
             assert resolve_kernel_name("auto") in legal
             assert TrainingConfig(batch_size=AUTO).effective_batch_size >= 1
         payload = outcome.payload
@@ -642,3 +632,126 @@ class TestTunePackageSurface:
         assert section["predict_error"] >= 0.0
         assert outcome.profile.serving.chunk_items >= 1
         assert outcome.profile.serving.batch_size >= 1
+
+
+# --------------------------------------------------------------------------- #
+# Stale and hostile profile files
+# --------------------------------------------------------------------------- #
+def _stale_minibatch_profile_text(profile) -> str:
+    """A profile written while ``"minibatch"`` was still a kernel name."""
+    payload = profile.to_dict()
+    payload["training"]["kernel"] = "minibatch"
+    return json.dumps(payload)
+
+
+class TestStaleKernelName:
+    def test_loads_rejects_the_removed_minibatch_kernel(self, profile, tmp_path):
+        text = _stale_minibatch_profile_text(profile)
+        with pytest.raises(ConfigurationError, match="'minibatch'"):
+            TunedProfile.loads(text)
+        path = tmp_path / "stale.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="'minibatch'"):
+            TunedProfile.load(path)
+
+    def test_cli_train_with_a_stale_profile_exits_with_one_line_error(
+        self, profile, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "stale.json"
+        path.write_text(_stale_minibatch_profile_text(profile))
+        code = main(["train", "--dataset", "movielens", "--iterations", "1", "--profile", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'minibatch'" in err
+        assert active_profile() is None
+
+
+def _json_values():
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-(2**40), 2**40)
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.text(max_size=8)
+    )
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _knob_paths():
+    paths = [(f.name,) for f in dataclasses.fields(TunedProfile)]
+    for section, tunables in (
+        ("training", TrainingTunables),
+        ("serving", ServingTunables),
+        ("stream", StreamTunables),
+    ):
+        paths += [(section, f.name) for f in dataclasses.fields(tunables)]
+    return paths
+
+
+def _valid_profile_payload() -> dict:
+    return TunedProfile(
+        fingerprint={"machine": "x86_64", "cpu_count": 2},
+        quick=True,
+        created_unix=1.0e9,
+        training=TrainingTunables(backend="processes", workers=2, kernel="minibatch_local"),
+        predict_error={"costmodel": 0.05},
+        alpha=0.25,
+    ).to_dict()
+
+
+@st.composite
+def _profile_texts(draw):
+    """Valid profile JSON with one knob mutated in value and type, or truncated."""
+    payload = _valid_profile_payload()
+    if draw(st.booleans()):
+        *parents, leaf = draw(st.sampled_from(_knob_paths()))
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[leaf] = draw(_json_values())
+        return json.dumps(payload)
+    text = json.dumps(payload)
+    return text[: draw(st.integers(0, len(text)))]
+
+
+def _assert_usable(profile) -> None:
+    """What a loaded profile's consumers do with it must work."""
+    assert TunedProfile.loads(profile.dumps()) == profile
+    assert isinstance(fingerprint_matches(profile.fingerprint), bool)
+    assert isinstance(profile.resolve_backend(), str)
+    with use_profile(profile):
+        assert resolve_kernel_name("auto") in ("minibatch_local", "native")
+        assert TrainingConfig(batch_size=AUTO).effective_batch_size >= 1
+        assert resolve_workers(AUTO, 1) >= 1
+        assert resolve_serving_chunk_items(AUTO, DEFAULT_CHUNK_ITEMS) >= 1
+        assert resolve_foldin_gram_chunk(_GRAM_CHUNK_ELEMENTS) >= 1
+    if profile.alpha is not None:
+        assert f"{profile.alpha:.3f}"
+
+
+class TestProfileLoadsProperty:
+    """``TunedProfile.loads`` yields a typed ``ReproError`` or a usable profile."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_profile_texts())
+    def test_typed_error_or_usable_profile(self, text):
+        try:
+            profile = TunedProfile.loads(text)
+        except ReproError:
+            return
+        _assert_usable(profile)
+
+    @pytest.mark.parametrize("knob, value", [("fingerprint", None), ("alpha", [])])
+    def test_examples_the_property_found(self, knob, value):
+        # Both used to load, then broke fingerprint_matches / the alpha print.
+        payload = _valid_profile_payload()
+        payload[knob] = value
+        with pytest.raises(ConfigurationError, match=f"profile {knob}"):
+            TunedProfile.loads(json.dumps(payload))
