@@ -2,8 +2,11 @@
 
 The calibration phase runs once per machine.  It
 
-1. shuffles the input matrix and forms cumulative prefixes
-   ``S_1, S_1+S_2, ..., S_1+...+S_N`` (data preparation, Section V-A);
+1. shuffles the input matrix and describes its cumulative prefixes
+   ``S_1, S_1+S_2, ..., S_1+...+S_N`` (data preparation, Section V-A).
+   A probe reads only a prefix's *counts* — ratings, distinct rows,
+   distinct cols — so one pass over the shuffled order yields every
+   prefix's :class:`BlockWork` and no prefix matrix is ever built;
 2. measures single-CPU-thread execution time on every prefix and fits the
    linear CPU model;
 3. measures PCIe copy times over a range of transfer sizes and fits the
@@ -24,14 +27,14 @@ and against real hardware wrappers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..config import TrainingConfig
 from ..exceptions import CalibrationError
 from ..hardware import BlockWork, HeterogeneousPlatform
-from ..sparse import SparseRatingMatrix, split_prefix_sums
+from ..sparse import SparseRatingMatrix
 from .cpu_model import CPUCostModel
 from .gpu_model import GPUCostModel, KernelCostModel, TransferCostModel
 from .qilin import QilinCostModel, QilinDeviceModel
@@ -67,10 +70,8 @@ def geometric_prefix_sizes(
     if segments < 2:
         raise CalibrationError(f"segments must be at least 2, got {segments}")
     minimum = max(2, min(minimum, total_points))
-    sizes = np.unique(
-        np.geomspace(minimum, total_points, num=segments).round().astype(int)
-    )
-    return [int(size) for size in sizes]
+    sizes = np.geomspace(minimum, total_points, num=segments).round().astype(int)
+    return sorted({int(size) for size in sizes})
 
 
 @dataclass(frozen=True)
@@ -143,64 +144,83 @@ class CalibrationResult:
 # --------------------------------------------------------------------------- #
 # Individual probes (the test_* routines of Algorithm 3)
 # --------------------------------------------------------------------------- #
-def _work_for_prefix(
-    prefix: SparseRatingMatrix, latent_factors: int
-) -> BlockWork:
-    """Describe a calibration prefix as a unit of block work."""
-    distinct_rows = int(len(np.unique(prefix.rows))) if prefix.nnz else 0
-    distinct_cols = int(len(np.unique(prefix.cols))) if prefix.nnz else 0
-    return BlockWork(
-        nnz=prefix.nnz,
-        p_rows=distinct_rows,
-        q_cols=distinct_cols,
-        latent_factors=latent_factors,
-    )
+def _shuffled_prefix_works(
+    matrix: SparseRatingMatrix,
+    sizes: Sequence[int],
+    latent_factors: int,
+    seed: int,
+) -> List[BlockWork]:
+    """Describe the leading ``sizes`` ratings of ``matrix.shuffled(seed)``.
+
+    Every prefix is a leading slice of one shuffled order, so an index
+    appears in prefix ``k`` exactly when its first occurrence in that
+    order lies before ``k``.  One scatter of each rating's shuffled
+    position gives every row's and column's first occurrence; a prefix's
+    distinct count is then a ``searchsorted`` of ``k`` into them.
+    """
+    nnz = matrix.nnz
+    perm = np.random.default_rng(seed).permutation(nnz)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(nnz)
+
+    def first_seen(index: np.ndarray, extent: int) -> np.ndarray:
+        first = np.full(extent, nnz, dtype=position.dtype)
+        np.minimum.at(first, index, position)
+        return np.sort(first)
+
+    first_row = first_seen(matrix.rows, matrix.n_rows)
+    first_col = first_seen(matrix.cols, matrix.n_cols)
+    return [
+        BlockWork(
+            nnz=int(size),
+            p_rows=int(np.searchsorted(first_row, size)),
+            q_cols=int(np.searchsorted(first_col, size)),
+            latent_factors=latent_factors,
+        )
+        for size in sizes
+    ]
+
+
+def _probe_works(
+    measure: Callable[[BlockWork], float],
+    works: Sequence[BlockWork],
+    repeats: int,
+) -> List[CalibrationProbe]:
+    """Average ``repeats`` measurements of every work, in order."""
+    if repeats <= 0:
+        raise CalibrationError(f"repeats must be positive, got {repeats}")
+    return [
+        CalibrationProbe(
+            points=work.nnz,
+            seconds=float(np.mean([measure(work) for _ in range(repeats)])),
+        )
+        for work in works
+    ]
 
 
 def probe_cpu_kernel(
     platform: HeterogeneousPlatform,
-    prefixes: Sequence[SparseRatingMatrix],
-    latent_factors: int,
+    works: Sequence[BlockWork],
     repeats: int = DEFAULT_REPEATS,
 ) -> List[CalibrationProbe]:
     """Measure single-thread CPU time on every calibration prefix."""
-    if repeats <= 0:
-        raise CalibrationError(f"repeats must be positive, got {repeats}")
     device = platform.representative_cpu()
-    probes = []
-    for prefix in prefixes:
-        work = _work_for_prefix(prefix, latent_factors)
-        seconds = float(
-            np.mean([device.measure_process_time(work) for _ in range(repeats)])
-        )
-        probes.append(CalibrationProbe(points=work.nnz, seconds=seconds))
-    return probes
+    return _probe_works(device.measure_process_time, works, repeats)
 
 
 def probe_gpu_kernel(
     platform: HeterogeneousPlatform,
-    prefixes: Sequence[SparseRatingMatrix],
-    latent_factors: int,
+    works: Sequence[BlockWork],
     repeats: int = DEFAULT_REPEATS,
 ) -> List[CalibrationProbe]:
     """Measure GPU kernel-only time on every calibration prefix."""
-    if repeats <= 0:
-        raise CalibrationError(f"repeats must be positive, got {repeats}")
     device = platform.representative_gpu()
-    probes = []
-    for prefix in prefixes:
-        work = _work_for_prefix(prefix, latent_factors)
-        seconds = float(
-            np.mean([device.kernel_time(work) for _ in range(repeats)])
-        )
-        probes.append(CalibrationProbe(points=work.nnz, seconds=seconds))
-    return probes
+    return _probe_works(device.kernel_time, works, repeats)
 
 
 def probe_gpu_total(
     platform: HeterogeneousPlatform,
-    prefixes: Sequence[SparseRatingMatrix],
-    latent_factors: int,
+    works: Sequence[BlockWork],
     repeats: int = DEFAULT_REPEATS,
 ) -> List[CalibrationProbe]:
     """Measure end-to-end GPU time (transfer + kernel, overlapped) per prefix.
@@ -208,14 +228,7 @@ def probe_gpu_total(
     These are the measurements a Qilin-style profiler would record.
     """
     device = platform.representative_gpu()
-    probes = []
-    for prefix in prefixes:
-        work = _work_for_prefix(prefix, latent_factors)
-        seconds = float(
-            np.mean([device.measure_process_time(work) for _ in range(repeats)])
-        )
-        probes.append(CalibrationProbe(points=work.nnz, seconds=seconds))
-    return probes
+    return _probe_works(device.measure_process_time, works, repeats)
 
 
 def probe_transfer_link(
@@ -277,21 +290,23 @@ def calibrate_platform(
     -------
     CalibrationResult
     """
-    if matrix.nnz < segments:
-        raise CalibrationError(
-            f"matrix has only {matrix.nnz} ratings but {segments} segments requested"
-        )
     training = training or TrainingConfig()
-
     sample = matrix if sample_fraction >= 1.0 else matrix.sample(sample_fraction, seed)
-    shuffled = sample.shuffled(seed=seed)
-    prefixes = split_prefix_sums(shuffled, segments)
-    # The GPU probes additionally cover small workloads (see
-    # geometric_prefix_sizes): GPU behaviour is non-linear exactly there.
-    gpu_prefix_sizes = geometric_prefix_sizes(shuffled.nnz, max(segments, 8))
-    gpu_prefixes = [shuffled.prefix(size) for size in gpu_prefix_sizes]
+    if not 0 < segments <= sample.nnz:
+        raise CalibrationError(
+            f"cannot split {sample.nnz} ratings into {segments} segments"
+        )
+    # The paper's equal-width cumulative prefixes, plus the geometric GPU
+    # ladder: GPU behaviour is non-linear exactly on small workloads (see
+    # geometric_prefix_sizes).
+    linear_sizes = np.linspace(0, sample.nnz, segments + 1).round().astype(int)[1:]
+    gpu_sizes = geometric_prefix_sizes(sample.nnz, max(segments, 8))
+    works = _shuffled_prefix_works(
+        sample, [*linear_sizes, *gpu_sizes], training.latent_factors, seed
+    )
+    prefix_works, gpu_works = works[:segments], works[segments:]
 
-    cpu_probes = probe_cpu_kernel(platform, prefixes, training.latent_factors, repeats)
+    cpu_probes = probe_cpu_kernel(platform, prefix_works, repeats)
     cpu_model = CPUCostModel.fit(
         [probe.points for probe in cpu_probes],
         [probe.seconds for probe in cpu_probes],
@@ -307,16 +322,12 @@ def calibrate_platform(
     if platform.n_gpus > 0:
         h2d_probes = probe_transfer_link(platform, direction="h2d")
         d2h_probes = probe_transfer_link(platform, direction="d2h")
-        gpu_kernel_probes = probe_gpu_kernel(
-            platform, gpu_prefixes, training.latent_factors, repeats
-        )
+        gpu_kernel_probes = probe_gpu_kernel(platform, gpu_works, repeats)
         # The Qilin baseline profiles end-to-end offloaded tasks on the
         # *linearly* spaced subparts, exactly as Qilin does; its linear fit
         # therefore reflects large-workload throughput, which is the
         # inaccuracy on small blocks the paper's Table II demonstrates.
-        gpu_total_probes = probe_gpu_total(
-            platform, prefixes, training.latent_factors, repeats
-        )
+        gpu_total_probes = probe_gpu_total(platform, prefix_works, repeats)
 
         host_to_device = TransferCostModel.fit(
             [probe.points for probe in h2d_probes],
@@ -330,9 +341,8 @@ def calibrate_platform(
             [probe.points for probe in gpu_kernel_probes],
             [probe.seconds for probe in gpu_kernel_probes],
         )
-        works = [_work_for_prefix(p, training.latent_factors) for p in gpu_prefixes]
         bytes_per_point = float(
-            np.mean([w.host_to_device_bytes / max(1, w.nnz) for w in works])
+            np.mean([w.host_to_device_bytes / max(1, w.nnz) for w in gpu_works])
         )
         gpu_model = GPUCostModel(
             kernel=kernel,

@@ -650,30 +650,6 @@ class ProcessSession(EngineSession):
             f"TrainingConfig.max_worker_restarts to tolerate more failures"
         )
 
-    def _drain_done_messages(self) -> None:
-        """Book every already-delivered completion, without blocking.
-
-        Completion writes are atomic (< ``PIPE_BUF``), so once a worker
-        is observably dead its final message is either fully readable
-        now or was never sent.  Booking first turns died-after-reporting
-        into an idle death needing no rollback.
-        """
-        while True:
-            try:
-                message = self._done_queue.get_nowait()
-            except queue.Empty:
-                return
-            worker_index, start, end, error = message
-            if error is not None:
-                task = self._in_flight.pop(worker_index, None)
-                if task is not None:
-                    self._engine.scheduler.abort_task(task)
-                self._error = ExecutionError(
-                    f"worker process {worker_index} failed:\n{error}"
-                )
-                return
-            self._book_completion(worker_index, start, end)
-
     def _recover_dead_workers(self, dead: Set[int]) -> None:
         """Recover from dead workers by replacing the **whole pool**.
 
@@ -711,7 +687,7 @@ class ProcessSession(EngineSession):
         budget = engine.training.max_worker_restarts
         self._recovering = True
         try:
-            self._drain_done_messages()
+            self._await_completion(block=False)
             if self._error is not None:
                 return
             dead = dead | self._dead_workers()

@@ -12,9 +12,7 @@ triadic tuples ``(u, v, r_uv)``.  This subpackage provides:
   (:class:`BlockData`) cached per run (:class:`BlockStore`) so execution
   kernels never re-gather or re-validate COO index lists;
 * :mod:`repro.sparse.io` — plain-text triple readers/writers compatible
-  with the MovieLens/LIBMF layout;
-* :mod:`repro.sparse.shuffle` — deterministic permutation utilities used
-  by the calibration data preparation (Section V-A).
+  with the MovieLens/LIBMF layout.
 """
 
 from .matrix import SparseRatingMatrix
@@ -32,7 +30,6 @@ from .blockstore import (
     merge_block_data,
 )
 from .io import read_triples, write_triples
-from .shuffle import shuffled_copy, split_prefix_sums
 
 __all__ = [
     "SparseRatingMatrix",
@@ -47,6 +44,4 @@ __all__ = [
     "uniform_boundaries",
     "read_triples",
     "write_triples",
-    "shuffled_copy",
-    "split_prefix_sums",
 ]

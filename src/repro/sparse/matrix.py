@@ -385,10 +385,9 @@ class SparseRatingMatrix:
     def shuffled(self, seed: int = 0) -> "SparseRatingMatrix":
         """Return a copy whose triples are stored in random order.
 
-        Shuffling the storage order is the first step of the calibration
-        data preparation (Section V-A) — it avoids uneven data
-        distribution when the prefix subsets ``S_1, S_1+S_2, ...`` are
-        taken from the front of the array.
+        Calibration (Section V-A) probes the prefixes ``S_1, S_1+S_2,
+        ...`` of exactly this order; it draws the same permutation but
+        reads only the prefixes' counts, so it never builds the copy.
         """
         rng = np.random.default_rng(seed)
         perm = rng.permutation(self.nnz)
@@ -404,14 +403,6 @@ class SparseRatingMatrix:
         size = max(1, int(round(self.nnz * fraction)))
         index = rng.choice(self.nnz, size=size, replace=False)
         return self.select(np.sort(index))
-
-    def prefix(self, count: int) -> "SparseRatingMatrix":
-        """Return the first ``count`` ratings in storage order."""
-        if count < 0 or count > self.nnz:
-            raise InvalidMatrixError(
-                f"prefix count must be in [0, {self.nnz}], got {count}"
-            )
-        return self.select(np.arange(count))
 
     def row_band(self, row_start: int, row_stop: int) -> "SparseRatingMatrix":
         """Return the ratings whose user index lies in ``[row_start, row_stop)``.

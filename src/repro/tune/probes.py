@@ -69,6 +69,7 @@ from ..costmodel import (
     probe_gpu_kernel,
     solve_alpha,
 )
+from ..costmodel.calibration import _shuffled_prefix_works
 from ..datasets import SyntheticConfig, generate_synthetic_matrix
 from ..hardware import (
     HeterogeneousPlatform,
@@ -204,11 +205,12 @@ def probe_cost_models(
     # Out-of-sample ladder: a *different* geometric ladder (offset
     # segment count) re-measured fresh, so the noise draws differ from
     # the fitting set even where sizes coincide.
-    shuffled = matrix.shuffled(seed=seed + 1)
-    holdout_sizes = geometric_prefix_sizes(shuffled.nnz, 5, minimum=512)
-    holdout = [shuffled.prefix(size) for size in holdout_sizes]
-    cpu_measredo = probe_cpu_kernel(platform, holdout, training.latent_factors, 2)
-    gpu_measredo = probe_gpu_kernel(platform, holdout, training.latent_factors, 2)
+    holdout_sizes = geometric_prefix_sizes(matrix.nnz, 5, minimum=512)
+    holdout = _shuffled_prefix_works(
+        matrix, holdout_sizes, training.latent_factors, seed + 1
+    )
+    cpu_measredo = probe_cpu_kernel(platform, holdout, 2)
+    gpu_measredo = probe_gpu_kernel(platform, holdout, 2)
 
     probes = []
     for probe in cpu_measredo:

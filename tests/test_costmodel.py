@@ -1,7 +1,13 @@
 """Tests of curve fitting, cost models, the alpha solver and calibration."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.costmodel import (
     CPUCostModel,
@@ -21,6 +27,9 @@ from repro.costmodel import (
 from repro.exceptions import CalibrationError, CostModelError
 from repro.hardware import BlockWork, HeterogeneousPlatform
 from repro.config import HardwareConfig
+from repro.core import HeterogeneousTrainer
+from repro.datasets import generate_synthetic_matrix, get_dataset, load_dataset
+from repro.sparse import SparseRatingMatrix
 
 
 class TestFitting:
@@ -352,6 +361,45 @@ class TestCalibration:
                 small_platform, tiny_matrix, training=small_training, segments=100
             )
 
+    def test_bad_segments_rejected(self, small_platform, small_training, small_matrix):
+        with pytest.raises(CalibrationError):
+            calibrate_platform(small_platform, small_matrix, small_training, segments=0)
+        # The sample, not the full matrix, must hold one rating per segment.
+        with pytest.raises(CalibrationError):
+            calibrate_platform(
+                small_platform, small_matrix, small_training,
+                segments=12, sample_fraction=10 / small_matrix.nnz,
+            )
+
+
+class TestShuffledPrefixWorks:
+    """Prefix counts equal ``np.unique`` on slices of the shuffled copy."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=40),
+        pad=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    @example(cells=[], pad=(0, 0), seed=0)
+    @example(cells=[(0, 0)], pad=(0, 0), seed=0)
+    @example(cells=[(2, c) for c in range(6)] * 2, pad=(1, 4), seed=1)
+    @example(cells=[(r, 5) for r in range(6)], pad=(0, 0), seed=2)
+    def test_counts_match_unique(self, cells, pad, seed):
+        from repro.costmodel.calibration import _shuffled_prefix_works
+
+        rows = np.array([r for r, _ in cells], dtype=np.int64)
+        cols = np.array([c for _, c in cells], dtype=np.int64)
+        shape = (rows.max(initial=0) + 1 + pad[0], cols.max(initial=0) + 1 + pad[1])
+        matrix = SparseRatingMatrix(rows, cols, np.ones(len(cells)), shape=shape)
+        works = _shuffled_prefix_works(matrix, range(matrix.nnz + 1), 8, seed)
+        shuffled = matrix.shuffled(seed=seed)
+        assert [w.nnz for w in works] == list(range(matrix.nnz + 1))
+        for k, work in enumerate(works):
+            assert work.p_rows == len(np.unique(shuffled.rows[:k]))
+            assert work.q_cols == len(np.unique(shuffled.cols[:k]))
+            assert work.latent_factors == 8
+
 
 class TestCostModelEdgeBranches:
     """Error paths and degenerate-split guards of the fitted models.
@@ -534,11 +582,11 @@ class TestCostModelEdgeBranches:
             probe_gpu_kernel,
             probe_transfer_link,
         )
+        from repro.costmodel.calibration import probe_gpu_total
 
-        with pytest.raises(CalibrationError):
-            probe_cpu_kernel(small_platform, [], 8, repeats=0)
-        with pytest.raises(CalibrationError):
-            probe_gpu_kernel(small_platform, [], 8, repeats=0)
+        for probe in (probe_cpu_kernel, probe_gpu_kernel, probe_gpu_total):
+            with pytest.raises(CalibrationError):
+                probe(small_platform, [BlockWork(nnz=64)], repeats=0)
         with pytest.raises(CalibrationError):
             probe_transfer_link(small_platform, [0], direction="h2d")
         with pytest.raises(CalibrationError):
@@ -556,3 +604,133 @@ class TestCostModelEdgeBranches:
         assert cpu_only.cpu_time_for_points(1_000, "qilin") == pytest.approx(
             small_calibration.cpu_time_for_points(1_000, "paper")
         )
+
+
+# --------------------------------------------------------------------------- #
+# Pinned calibration results
+# --------------------------------------------------------------------------- #
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _probe_digest(probes) -> str:
+    points = np.array([p.points for p in probes], dtype=np.int64)
+    seconds = np.array([p.seconds for p in probes], dtype=np.float64)
+    return _sha(points.tobytes() + seconds.tobytes())
+
+
+def _calibration_digests(calibration, split, nnz: int) -> dict:
+    """sha256 of every probe list, the fitted models and the split.
+
+    The models' ``repr`` rounds its coefficients, so their predictions on
+    a fixed ladder are pinned too, bit for bit.
+    """
+    out = {
+        name: _probe_digest(getattr(calibration, name))
+        for name in (
+            "cpu_probes",
+            "gpu_kernel_probes",
+            "gpu_total_probes",
+            "transfer_probes_h2d",
+            "transfer_probes_d2h",
+        )
+    }
+    models = (calibration.cpu_model, calibration.gpu_model, calibration.qilin_model)
+    out["models"] = _sha(repr(models).encode())
+    ladder = np.geomspace(64, nnz, 9)
+    predictions = np.array([
+        [calibration.cpu_time_for_points(x, model),
+         calibration.gpu_time_for_points(x, model)]
+        for model in ("paper", "qilin")
+        for x in ladder
+    ])
+    out["predictions"] = _sha(predictions.tobytes())
+    out["workload_split"] = _sha(repr(split).encode())
+    return out
+
+
+def _trainer_digests(matrix) -> dict:
+    trainer = HeterogeneousTrainer("hsgd_star", HardwareConfig(), seed=1)
+    split = trainer.workload_split(matrix)
+    return _calibration_digests(trainer.calibration, split, matrix.nnz)
+
+
+def _matrix_930k():
+    config = dataclasses.replace(
+        get_dataset("netflix").synthetic,
+        n_rows=80_000, n_cols=6_000, n_ratings=930_000, seed=7,
+    )
+    return generate_synthetic_matrix(config)[0]
+
+
+#: Digests recorded before calibration stopped materialising its prefix
+#: matrices; the probes, models and split must stay bit-identical.  The
+#: fits are LAPACK least squares, so the constants hold for a given BLAS
+#: build.
+PINNED_CALIBRATION_DIGESTS = {
+    "netflix": {
+        "cpu_probes": "55dd621aa103962580c751bccdba85ac4ccbb61312af2875f995ef673fba3c28",
+        "gpu_kernel_probes": "5364a09e8634b2ca68bdde84155d3c8bc89eb9821c6f5e0fd9e59adb55228562",
+        "gpu_total_probes": "e353e297269e77d3417f309387e23121414ee231d6797c52bfe2efb174484492",
+        "transfer_probes_h2d": "823c63af7fb1a87148a524d294e41b737f10ec353c3351174653006f7ee5079b",
+        "transfer_probes_d2h": "e911342f75eea465d9a6104dcb630853ab2d4c853a4b60dd89505721a2ecd583",
+        "models": "a0fba566eb6274d05c5a5427ec53b0a8a38c1070319c4131d7669082fa81054c",
+        "predictions": "bc7f4a6b94745f4ce4dac71844a0f64cf12164d651137e9e121fffee1c2d1e90",
+        "workload_split": "5cb5ce3b15bfe6928ddfaa8788d17aae5643bf265a13448150a0423d91120e46",
+    },
+    "930k": {
+        "cpu_probes": "95c829289d0f4b82866abd5bfeb92de22fa7916fe3d9dfff4afee440f6f516be",
+        "gpu_kernel_probes": "25f30460e1e6d1a57f19329b4d3118a64332596c675dda0fcd5c9f9f6bdc45a7",
+        "gpu_total_probes": "95b4d3145e90ec9bf1c871cfacfacf2a5709fa0e8e7558612ea8fda2a85a8ca5",
+        "transfer_probes_h2d": "823c63af7fb1a87148a524d294e41b737f10ec353c3351174653006f7ee5079b",
+        "transfer_probes_d2h": "e911342f75eea465d9a6104dcb630853ab2d4c853a4b60dd89505721a2ecd583",
+        "models": "d8a9dcf98ca5653f11b431687291b49f7b862f98d18b69802603cf76a3e76fa2",
+        "predictions": "f5f1a693ae686d30d509ebe2e8aaa4aff1a4d75af60164b00c7d60119204c507",
+        "workload_split": "369d95e424d638f744f4b267cd68bdab9d5ed377ee9de2a06ceca9c690e65ebf",
+    },
+    "tune": "4b8a69ce1d95bb179c2b4da378b290df1d518eae8dbe7d780dfac6ea235cd7c6",
+}
+
+
+class TestCalibrationPinned:
+    def test_netflix_trainer(self):
+        train = load_dataset("netflix", seed=1).train
+        assert _trainer_digests(train) == PINNED_CALIBRATION_DIGESTS["netflix"]
+
+    @pytest.mark.slow
+    def test_930k_trainer(self):
+        assert _trainer_digests(_matrix_930k()) == PINNED_CALIBRATION_DIGESTS["930k"]
+
+    def test_tune_holdout(self):
+        from repro.tune import run_tune
+
+        outcome = run_tune(quick=True, seed=0, sections=["costmodel"])
+        section = outcome.payload["tune"]["sections"]["costmodel"]
+        record = {
+            "probes": section["probes"],
+            "predict_error": section["predict_error"],
+            "alpha": outcome.profile.alpha,
+        }
+        digest = _sha(json.dumps(record, sort_keys=True).encode())
+        assert digest == PINNED_CALIBRATION_DIGESTS["tune"]
+
+
+@pytest.mark.slow
+def test_calibration_memory_budget():
+    """Calibration's traced peak stays within 48 bytes per rating.
+
+    tracemalloc counts numpy's allocations, so the bound is exact and
+    independent of wall time.  The input itself (24 B/rating) is
+    allocated before tracing starts and is not counted.
+    """
+    import tracemalloc
+
+    matrix = _matrix_930k()
+    platform = HeterogeneousTrainer("hsgd_star", HardwareConfig(), seed=1).platform
+    tracemalloc.start()
+    try:
+        calibrate_platform(platform, matrix, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / matrix.nnz <= 48

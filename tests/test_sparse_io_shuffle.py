@@ -1,15 +1,9 @@
-"""Tests of triple-file I/O and calibration-shuffle helpers."""
+"""Tests of triple-file I/O."""
 
-import numpy as np
 import pytest
 
-from repro.exceptions import DatasetError, InvalidMatrixError
-from repro.sparse import (
-    read_triples,
-    shuffled_copy,
-    split_prefix_sums,
-    write_triples,
-)
+from repro.exceptions import DatasetError
+from repro.sparse import read_triples, write_triples
 
 
 class TestTripleIO:
@@ -60,30 +54,3 @@ class TestTripleIO:
         with pytest.raises(DatasetError):
             read_triples(path)
 
-
-class TestShuffleHelpers:
-    def test_shuffled_copy_matches_method(self, small_matrix):
-        assert shuffled_copy(small_matrix, seed=9) == small_matrix.shuffled(seed=9)
-
-    def test_prefix_sums_are_cumulative(self, small_matrix):
-        prefixes = split_prefix_sums(small_matrix, 5)
-        assert len(prefixes) == 5
-        sizes = [p.nnz for p in prefixes]
-        assert sizes == sorted(sizes)
-        assert sizes[-1] == small_matrix.nnz
-        # Each prefix extends the previous one.
-        for smaller, larger in zip(prefixes, prefixes[1:]):
-            np.testing.assert_array_equal(
-                smaller.rows, larger.rows[: smaller.nnz]
-            )
-
-    def test_prefix_sums_sizes_roughly_linear(self, small_matrix):
-        prefixes = split_prefix_sums(small_matrix, 4)
-        expected = small_matrix.nnz / 4
-        assert prefixes[0].nnz == pytest.approx(expected, rel=0.05)
-
-    def test_prefix_sums_rejects_bad_segments(self, tiny_matrix):
-        with pytest.raises(InvalidMatrixError):
-            split_prefix_sums(tiny_matrix, 0)
-        with pytest.raises(InvalidMatrixError):
-            split_prefix_sums(tiny_matrix, tiny_matrix.nnz + 1)

@@ -232,17 +232,6 @@ class TestTransformations:
         with pytest.raises(InvalidMatrixError):
             tiny_matrix.sample(1.5)
 
-    def test_prefix(self, tiny_matrix):
-        prefix = tiny_matrix.prefix(4)
-        assert prefix.nnz == 4
-        np.testing.assert_array_equal(prefix.rows, tiny_matrix.rows[:4])
-
-    def test_prefix_bounds(self, tiny_matrix):
-        with pytest.raises(InvalidMatrixError):
-            tiny_matrix.prefix(tiny_matrix.nnz + 1)
-        with pytest.raises(InvalidMatrixError):
-            tiny_matrix.prefix(-1)
-
     def test_row_band(self, tiny_matrix):
         band = tiny_matrix.row_band(0, 2)
         assert band.nnz == 5
