@@ -10,7 +10,9 @@ over.  It consists of
 * a list of **column bands** — contiguous item-index intervals shared by
   every region (the ``nc + 2 ng + 1`` columns of the paper);
 * one :class:`GridBlock` per (row band, column band) cell carrying the COO
-  positions of the ratings inside it and a running update counter.
+  positions of the ratings inside it (a read-only view into the one
+  permutation :func:`~repro.sparse.bucket_ratings` sorts the ratings by)
+  and a running update counter.
 
 Two blocks are *independent* exactly when they are in different row bands
 and different column bands (Section III-A); the grid itself is agnostic of
@@ -26,7 +28,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import InvalidPartitionError
-from ..sparse import SparseRatingMatrix, extract_grid
+from ..sparse import SparseRatingMatrix, bucket_ratings
 
 
 class Region(enum.Enum):
@@ -154,30 +156,29 @@ class BlockGrid:
             )
 
         row_boundaries = [band.row_range[0] for band in row_bands] + [matrix.n_rows]
-        raw_grid = extract_grid(matrix, row_boundaries, col_boundaries)
+        order, offsets = bucket_ratings(matrix, row_boundaries, col_boundaries)
+        order.setflags(write=False)
 
         col_ranges = [
             (int(col_boundaries[j]), int(col_boundaries[j + 1]))
             for j in range(len(col_boundaries) - 1)
         ]
         blocks: List[List[GridBlock]] = []
-        block_id = 0
         for i, band in enumerate(row_bands):
             row_blocks: List[GridBlock] = []
             for j, col_range in enumerate(col_ranges):
-                cell = raw_grid[i][j]
+                cell = i * len(col_ranges) + j
                 row_blocks.append(
                     GridBlock(
-                        block_id=block_id,
+                        block_id=cell,
                         row_band=i,
                         col_band=j,
                         row_range=band.row_range,
                         col_range=col_range,
-                        indices=cell.indices,
+                        indices=order[offsets[cell] : offsets[cell + 1]],
                         region=band.region,
                     )
                 )
-                block_id += 1
             blocks.append(row_blocks)
         return cls(row_bands=list(row_bands), col_ranges=col_ranges, blocks=blocks)
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List
 
-import numpy as np
-
 from ..exceptions import SchedulingError
 from ..hardware import BlockWork
 from .grid import GridBlock
@@ -57,7 +55,6 @@ class Task:
     worker_index: int
     stolen: bool = False
     resident_p: bool = False
-    _indices: np.ndarray = field(default=None, repr=False)
     nnz: int = field(init=False, repr=False, compare=False)
     row_bands: FrozenSet[int] = field(init=False, repr=False, compare=False)
     col_bands: FrozenSet[int] = field(init=False, repr=False, compare=False)
@@ -88,17 +85,6 @@ class Task:
         """
         ranges = {block.col_range for block in self.blocks}
         return sum(stop - start for start, stop in ranges)
-
-    def indices(self) -> np.ndarray:
-        """COO positions of every rating in the task (concatenated, cached)."""
-        if self._indices is None:
-            if len(self.blocks) == 1:
-                self._indices = self.blocks[0].indices
-            else:
-                self._indices = np.concatenate(
-                    [block.indices for block in self.blocks]
-                )
-        return self._indices
 
     def block_work(self, latent_factors: int) -> BlockWork:
         """Describe the task as hardware work for device timing.

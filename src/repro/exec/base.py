@@ -137,8 +137,9 @@ def apply_block_data(p, q, data, rate, training, kernel_name):
     if data.nnz == 0:
         return
     if kernel_name == "sequential":
+        (r0, r1), (c0, c1) = data.row_range, data.col_range
         sgd_block_sequential(
-            p, q, data.rows, data.cols, data.vals,
+            p[r0:r1], q[:, c0:c1], data.local_rows, data.local_cols, data.vals,
             rate, training.reg_p, training.reg_q, validate=False,
         )
     else:

@@ -351,6 +351,11 @@ class RecommendServer:
     def _retire_shard(self, index: int) -> None:
         """Take a budget-exhausted reader out of rotation for good."""
         self._pool.mark_failed(index)
+        # A retired reader will never send "ready": resolve its future so
+        # start() returns degraded now instead of at its wait_ready timeout.
+        ready = self._ready.get(index)
+        if ready is not None and not ready.done():
+            ready.set_result(None)
         if self._ring is not None and len(self._ring) > 1:
             self._ring.remove_shard(index)
         elif self._ring is not None:

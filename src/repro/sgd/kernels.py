@@ -567,10 +567,12 @@ def sgd_block_native(
     return count
 
 
-#: The kernel registry: name -> callable.  ``"sequential"`` takes global
-#: COO arrays; ``"minibatch_local"`` and ``"native"`` take band-local
-#: indices and the band ranges (the calling convention the engines satisfy
-#: through :class:`repro.sparse.BlockStore`).
+#: The kernel registry: name -> callable.  ``"minibatch_local"`` and
+#: ``"native"`` take band-local indices and the band ranges (the calling
+#: convention the engines satisfy through :class:`repro.sparse.BlockStore`);
+#: ``"sequential"`` takes parallel index arrays into whatever ``p``/``q``
+#: it is given, and the engines give it the band views ``p[r0:r1]`` and
+#: ``q[:, c0:c1]`` with the same band-local indices.
 KERNELS = {
     "sequential": sgd_block_sequential,
     "minibatch_local": sgd_block_minibatch_local,

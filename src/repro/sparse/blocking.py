@@ -12,58 +12,20 @@ This module provides the low-level machinery:
   (:func:`balanced_boundaries`), the latter being important for skewed
   real-world matrices where uniform index bands would produce wildly
   different block sizes;
-* :func:`extract_grid` — a single ``O(nnz log nnz)`` pass that buckets
-  every rating into its ``(row_band, col_band)`` cell and returns per-cell
-  index arrays, used by schedulers to hand contiguous work units to
-  workers.
+* :func:`bucket_ratings` — one pass that buckets every rating into its
+  ``(row_band, col_band)`` cell and returns the permutation and per-cell
+  offsets every block of a :class:`~repro.core.grid.BlockGrid` is a
+  view of.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import InvalidPartitionError
 from .matrix import SparseRatingMatrix
-
-
-@dataclass(frozen=True)
-class BlockSlice:
-    """Index data for one grid block.
-
-    Attributes
-    ----------
-    row_band:
-        Index of the row band (0-based, top to bottom).
-    col_band:
-        Index of the column band (0-based, left to right).
-    row_range:
-        Half-open user-index interval ``[start, stop)`` covered by the band.
-    col_range:
-        Half-open item-index interval ``[start, stop)`` covered by the band.
-    indices:
-        Positions (into the matrix's COO arrays) of the ratings that fall
-        inside this block, sorted ascending.
-    """
-
-    row_band: int
-    col_band: int
-    row_range: Tuple[int, int]
-    col_range: Tuple[int, int]
-    indices: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        """Number of ratings inside the block."""
-        return len(self.indices)
-
-    def __repr__(self) -> str:
-        return (
-            f"BlockSlice(row_band={self.row_band}, col_band={self.col_band}, "
-            f"nnz={self.nnz})"
-        )
 
 
 def _validate_boundaries(boundaries: Sequence[int], extent: int, axis: str) -> np.ndarray:
@@ -160,12 +122,31 @@ def balanced_boundaries(counts: np.ndarray, parts: int) -> np.ndarray:
     return _validate_boundaries(bounds, extent, "balanced")
 
 
-def extract_grid(
+def _cell_dtype(n_cells: int) -> np.dtype:
+    """The narrowest dtype :func:`bucket_ratings` can sort ``n_cells`` ids in.
+
+    numpy's stable argsort is a radix sort for 16-bit keys, so grids of up
+    to 65,536 cells sort several times faster than on int64 keys.
+    """
+    if n_cells <= 1 << 16:
+        return np.dtype(np.uint16)
+    if n_cells <= 1 << 32:
+        return np.dtype(np.uint32)
+    return np.dtype(np.int64)
+
+
+def _band_table(bounds: np.ndarray, stride: int, dtype: np.dtype) -> np.ndarray:
+    """Per-index lookup table: ``stride * band`` for every index of the axis."""
+    band_ids = (np.arange(len(bounds) - 1, dtype=np.int64) * stride).astype(dtype)
+    return np.repeat(band_ids, np.diff(bounds))
+
+
+def bucket_ratings(
     matrix: SparseRatingMatrix,
     row_boundaries: Sequence[int],
     col_boundaries: Sequence[int],
-) -> List[List[BlockSlice]]:
-    """Bucket every rating of ``matrix`` into a grid of blocks.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bucket every rating of ``matrix`` into a grid of cells.
 
     Parameters
     ----------
@@ -176,55 +157,29 @@ def extract_grid(
 
     Returns
     -------
-    list of list of BlockSlice
-        ``grid[i][j]`` holds the block for row band ``i`` and column band
-        ``j``.  Every rating appears in exactly one block.
+    (order, offsets)
+        ``order`` is the stable permutation of the matrix's rating
+        positions by cell, cells numbered row-major (``row_band *
+        n_col_bands + col_band``); ``offsets`` has ``n_cells + 1``
+        entries, and ``order[offsets[c]:offsets[c + 1]]`` are the
+        positions of cell ``c``'s ratings, ascending because the sort is
+        stable.  Every rating appears in exactly one cell.
 
     Notes
     -----
-    The implementation performs a single vectorised bucketing pass
-    (two ``searchsorted`` calls plus one ``argsort``) rather than one mask
-    per block, keeping grid construction cheap even for fine grids.
+    One pass: each rating's cell id comes from a per-row and a per-column
+    band table, the ids are stable-argsorted in the narrowest dtype that
+    holds them, and the offsets are a ``bincount`` and a ``cumsum``.
     """
     row_bounds = _validate_boundaries(row_boundaries, matrix.n_rows, "row")
     col_bounds = _validate_boundaries(col_boundaries, matrix.n_cols, "column")
-
-    n_row_bands = len(row_bounds) - 1
     n_col_bands = len(col_bounds) - 1
+    n_cells = (len(row_bounds) - 1) * n_col_bands
+    dtype = _cell_dtype(n_cells)
 
-    row_band_of = np.searchsorted(row_bounds, matrix.rows, side="right") - 1
-    col_band_of = np.searchsorted(col_bounds, matrix.cols, side="right") - 1
-    flat = row_band_of * n_col_bands + col_band_of
-
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    # Split points between consecutive cells in the flattened ordering.
-    cell_starts = np.searchsorted(
-        sorted_flat, np.arange(n_row_bands * n_col_bands), side="left"
-    )
-    cell_stops = np.searchsorted(
-        sorted_flat, np.arange(n_row_bands * n_col_bands), side="right"
-    )
-
-    grid: List[List[BlockSlice]] = []
-    for i in range(n_row_bands):
-        row_blocks: List[BlockSlice] = []
-        for j in range(n_col_bands):
-            cell = i * n_col_bands + j
-            indices = np.sort(order[cell_starts[cell]:cell_stops[cell]])
-            row_blocks.append(
-                BlockSlice(
-                    row_band=i,
-                    col_band=j,
-                    row_range=(int(row_bounds[i]), int(row_bounds[i + 1])),
-                    col_range=(int(col_bounds[j]), int(col_bounds[j + 1])),
-                    indices=indices,
-                )
-            )
-        grid.append(row_blocks)
-    return grid
-
-
-def grid_nnz(grid: List[List[BlockSlice]]) -> np.ndarray:
-    """Return a 2-D array of per-block rating counts for a grid."""
-    return np.array([[block.nnz for block in row] for row in grid], dtype=np.int64)
+    cells = _band_table(row_bounds, n_col_bands, dtype)[matrix.rows]
+    cells += _band_table(col_bounds, 1, dtype)[matrix.cols]
+    offsets = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells, minlength=n_cells), out=offsets[1:])
+    order = np.argsort(cells, kind="stable")
+    return order, offsets

@@ -1,9 +1,10 @@
 """Block-major data plane: per-block contiguous rating storage.
 
 The grid machinery (:mod:`repro.sparse.blocking`, :mod:`repro.core.grid`)
-describes blocks as *index lists* into the matrix's global COO arrays.
-That is the right representation for partitioning — blocks share the
-underlying storage — but the wrong one for execution: every task would
+describes blocks as *index lists* into the matrix's global COO arrays —
+views of one permutation that buckets the ratings by cell.  That is the
+right representation for partitioning — blocks share the underlying
+storage — but the wrong one for execution: every task would
 re-gather ``rows[indices]`` / ``cols[indices]`` / ``vals[indices]`` and
 re-validate the result on every epoch, an ``O(nnz)`` tax per pass that
 the FPSGD/LIBMF lineage explicitly avoids by keeping each block's
@@ -11,11 +12,12 @@ ratings resident and band-local.
 
 This module materialises that layout once per run:
 
-* :class:`BlockData` — one block's ratings as contiguous parallel
-  arrays, in both global coordinates (``rows``/``cols``) and *band-local*
-  coordinates (``local_rows = rows - row_range[0]``, ``local_cols = cols
-  - col_range[0]``), validated at construction so kernels can skip their
-  own input checks (``validate=False``);
+* :class:`BlockData` — one block's ratings as three contiguous parallel
+  arrays, the values and their *band-local* coordinates (``local_rows =
+  rows - row_range[0]``, ``local_cols = cols - col_range[0]``), validated
+  at construction so kernels can skip their own input checks
+  (``validate=False``).  A global index is the band origin plus the local
+  one, so no global copy is kept;
 * :class:`BlockStore` — a per-run cache mapping grid blocks (and
   multi-block tasks) to their :class:`BlockData`, so each block is
   gathered and validated exactly once no matter how many epochs touch it.
@@ -56,13 +58,12 @@ class BlockData:
         bands (band-local scatter only ever writes at ``range_start +
         local_index``, so a covering interval is exact even if the
         blocks do not tile it).
-    rows, cols, vals:
-        The ratings as contiguous parallel arrays in global coordinates
-        (``int64``/``int64``/``float64``), in the same order as the
+    vals:
+        The rating values (``float64``), in the same order as the
         originating ``indices`` array.
     local_rows, local_cols:
-        Band-local coordinates: ``rows - row_range[0]`` and
-        ``cols - col_range[0]``.
+        Band-local coordinates (``int64``): the ratings' global rows
+        minus ``row_range[0]`` and global columns minus ``col_range[0]``.
 
     All arrays are marked read-only: ``BlockData`` is shared across
     epochs and across worker threads.
@@ -70,8 +71,6 @@ class BlockData:
 
     row_range: Tuple[int, int]
     col_range: Tuple[int, int]
-    rows: np.ndarray
-    cols: np.ndarray
     vals: np.ndarray
     local_rows: np.ndarray
     local_cols: np.ndarray
@@ -94,21 +93,18 @@ class BlockData:
         """Build and validate a record from global-coordinate arrays.
 
         The record owns its arrays (they are marked read-only), so with
-        ``copy=True`` (the default) inputs that already have the
-        canonical dtype are copied rather than adopted — freezing a
+        ``copy=True`` (the default) a ``vals`` input that already has the
+        canonical dtype is copied rather than adopted — freezing a
         caller's array in place would be a surprising side effect.
         Internal callers that hand over freshly gathered arrays pass
-        ``copy=False``.
+        ``copy=False``.  The local coordinates are always new arrays.
         """
-        original = (rows, cols, vals)
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        original = vals
         vals = np.ascontiguousarray(vals, dtype=np.float64)
-        if copy:
-            rows, cols, vals = (
-                converted.copy() if converted is passed else converted
-                for converted, passed in zip((rows, cols, vals), original)
-            )
+        if copy and vals is original:
+            vals = vals.copy()
         if not (len(rows) == len(cols) == len(vals)):
             raise InvalidMatrixError("rows, cols and vals must have equal length")
         r0, r1 = int(row_range[0]), int(row_range[1])
@@ -128,16 +124,12 @@ class BlockData:
                     f"block rating columns [{cols.min()}, {cols.max()}] fall "
                     f"outside the column band [{c0}, {c1})"
                 )
-        local_rows = rows - r0
-        local_cols = cols - c0
         return cls(
             row_range=(r0, r1),
             col_range=(c0, c1),
-            rows=_read_only(rows),
-            cols=_read_only(cols),
             vals=_read_only(vals),
-            local_rows=_read_only(local_rows),
-            local_cols=_read_only(local_cols),
+            local_rows=_read_only(rows - r0),
+            local_cols=_read_only(cols - c0),
         )
 
     @classmethod
@@ -145,8 +137,7 @@ class BlockData:
         """Materialise a grid block of ``matrix`` into contiguous arrays.
 
         ``block`` is anything with ``indices``, ``row_range`` and
-        ``col_range`` attributes — a
-        :class:`~repro.sparse.blocking.BlockSlice` or a
+        ``col_range`` attributes, normally a
         :class:`~repro.core.grid.GridBlock`.
         """
         indices = np.asarray(block.indices, dtype=np.int64)
@@ -182,18 +173,30 @@ def merge_block_data(parts: List[BlockData]) -> BlockData:
     """Concatenate several blocks' records into one multi-block record.
 
     Used for multi-block GPU tasks: parts are concatenated in block order
-    (matching ``Task.indices()``) under the covering band interval.  Both
-    the in-process :class:`BlockStore` and the worker-side
-    :class:`SharedBlockStore` cache the merged record, so the
-    concatenation happens once per distinct task, not per epoch.
+    under the covering band interval, each part's local indices shifted
+    by its band origin minus the covering origin.  Both the in-process
+    :class:`BlockStore` and the worker-side :class:`SharedBlockStore`
+    cache the merged record, so the concatenation happens once per
+    distinct task, not per epoch.
     """
-    return BlockData.from_arrays(
-        np.concatenate([part.rows for part in parts]),
-        np.concatenate([part.cols for part in parts]),
-        np.concatenate([part.vals for part in parts]),
-        _covering_range([part.row_range for part in parts]),
-        _covering_range([part.col_range for part in parts]),
-        copy=False,
+    row_range = _covering_range([part.row_range for part in parts])
+    col_range = _covering_range([part.col_range for part in parts])
+    # Direct construction: every part was validated against its own
+    # bands, and each band lies inside the covering interval.
+    return BlockData(
+        row_range=row_range,
+        col_range=col_range,
+        vals=_read_only(np.concatenate([part.vals for part in parts])),
+        local_rows=_read_only(
+            np.concatenate(
+                [part.local_rows + (part.row_range[0] - row_range[0]) for part in parts]
+            )
+        ),
+        local_cols=_read_only(
+            np.concatenate(
+                [part.local_cols + (part.col_range[0] - col_range[0]) for part in parts]
+            )
+        ),
     )
 
 
@@ -256,8 +259,7 @@ class BlockStore:
 
         Single-block tasks (every CPU task, every stolen block) share the
         per-block record; multi-block GPU tasks are concatenated in block
-        order — matching ``Task.indices()`` — under the covering band
-        interval.
+        order under the covering band interval.
         """
         blocks = task.blocks
         if len(blocks) == 1:
@@ -273,7 +275,7 @@ class BlockStore:
     def to_shared(self, blocks: Iterable) -> "SharedBlockStore":
         """Materialise ``blocks`` into a shared-memory segment.
 
-        Gathers every given grid block, packs all five per-block arrays
+        Gathers every given grid block, packs all three per-block arrays
         into one :class:`multiprocessing.shared_memory`-backed segment
         that worker processes attach by name
         (:meth:`SharedBlockStore.attach`) — the zero-copy data plane of
@@ -303,8 +305,8 @@ class BlockStore:
 
 
 #: The parallel arrays of one :class:`BlockData`, in segment layout order.
-_SHARED_FIELDS = ("rows", "cols", "vals", "local_rows", "local_cols")
-_SHARED_DTYPES = (np.int64, np.int64, np.float64, np.int64, np.int64)
+_SHARED_FIELDS = ("vals", "local_rows", "local_cols")
+_SHARED_DTYPES = (np.float64, np.int64, np.int64)
 
 
 @dataclass(frozen=True)
@@ -313,7 +315,7 @@ class SharedBlockStoreHandle:
 
     Everything a worker process needs to reconstruct zero-copy
     :class:`BlockData` views: the segment name, the total rating count
-    (the segment holds five parallel ``nnz``-long arrays back to back)
+    (the segment holds three parallel ``nnz``-long arrays back to back)
     and, per block key, its slice ``[offset, offset + length)`` plus its
     band intervals.
     """
@@ -359,15 +361,13 @@ class SharedBlockStore:
             views = [array[offset : offset + length] for array in arrays]
             for view in views:
                 view.setflags(write=False)
-            rows, cols, vals, local_rows, local_cols = views
+            vals, local_rows, local_cols = views
             # Direct construction: the arrays were validated by
             # BlockData.from_slice when the owner materialised them, and
             # copying here would defeat the shared segment entirely.
             self._blocks[(row_band, col_band)] = BlockData(
                 row_range=(r0, r1),
                 col_range=(c0, c1),
-                rows=rows,
-                cols=cols,
                 vals=vals,
                 local_rows=local_rows,
                 local_cols=local_cols,

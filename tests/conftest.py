@@ -32,6 +32,23 @@ def no_native_kernel(monkeypatch):
     return reason
 
 
+def _grid_from_bounds(matrix, row_bounds, col_bounds):
+    """A grid of shared blocks over explicit row and column boundaries."""
+    from repro.core.grid import BlockGrid, Region, RowBand
+
+    bands = [
+        RowBand(index=i, row_range=(int(start), int(stop)), region=Region.SHARED)
+        for i, (start, stop) in enumerate(zip(row_bounds[:-1], row_bounds[1:]))
+    ]
+    return BlockGrid.build(matrix, bands, col_bounds)
+
+
+@pytest.fixture(scope="session")
+def grid_from_bounds():
+    """``(matrix, row_bounds, col_bounds) -> BlockGrid`` of shared blocks."""
+    return _grid_from_bounds
+
+
 @pytest.fixture(scope="session")
 def tiny_matrix() -> SparseRatingMatrix:
     """A 6x5 hand-written rating matrix used by exact-value tests."""

@@ -1,72 +1,80 @@
 """Tests of the block-major data plane (repro.sparse.blockstore)."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.grid import Region, RowBand, BlockGrid
-from repro.core.partition import nonuniform_partition
+from repro import HardwareConfig, HeterogeneousTrainer, load_dataset
+from repro.core.algorithms import build_grid, effective_hardware, get_algorithm
+from repro.core.partition import nonuniform_partition, uniform_partition
 from repro.core.schedulers import HSGDStarScheduler
 from repro.core.tasks import Task
+from repro.datasets import generate_synthetic_matrix, get_dataset
 from repro.exceptions import InvalidMatrixError
 from repro.sparse import (
     BlockData,
     BlockStore,
     balanced_boundaries,
-    extract_grid,
+    merge_block_data,
     uniform_boundaries,
 )
 
 
+def _assert_global_ratings(data, matrix, indices):
+    """``data`` holds exactly the ratings at ``indices``, band-localised."""
+    np.testing.assert_array_equal(
+        data.local_rows + data.row_range[0], matrix.rows[indices]
+    )
+    np.testing.assert_array_equal(
+        data.local_cols + data.col_range[0], matrix.cols[indices]
+    )
+    np.testing.assert_array_equal(data.vals, matrix.vals[indices])
+
+
 class TestBlockDataFromSlice:
-    def test_round_trip_matches_index_gathering(self, small_matrix):
-        """BlockData must hold exactly what gathering slice.indices yields."""
+    def test_round_trip_matches_index_gathering(self, small_matrix, grid_from_bounds):
+        """BlockData must hold exactly what gathering block.indices yields."""
         rows = balanced_boundaries(small_matrix.row_counts(), 4)
         cols = balanced_boundaries(small_matrix.col_counts(), 3)
-        grid = extract_grid(small_matrix, rows, cols)
-        for row in grid:
-            for block in row:
-                data = BlockData.from_slice(small_matrix, block)
-                idx = block.indices
-                np.testing.assert_array_equal(data.rows, small_matrix.rows[idx])
-                np.testing.assert_array_equal(data.cols, small_matrix.cols[idx])
-                np.testing.assert_array_equal(data.vals, small_matrix.vals[idx])
-                assert data.nnz == block.nnz
-                assert data.row_range == block.row_range
-                assert data.col_range == block.col_range
+        grid = grid_from_bounds(small_matrix, rows, cols)
+        for block in grid.iter_blocks():
+            data = BlockData.from_slice(small_matrix, block)
+            _assert_global_ratings(data, small_matrix, block.indices)
+            assert data.nnz == block.nnz
+            assert data.row_range == block.row_range
+            assert data.col_range == block.col_range
 
-    def test_local_indices_are_band_relative(self, small_matrix):
+    def test_local_indices_are_band_relative(self, small_matrix, grid_from_bounds):
         rows = uniform_boundaries(small_matrix.n_rows, 3)
         cols = uniform_boundaries(small_matrix.n_cols, 2)
-        grid = extract_grid(small_matrix, rows, cols)
-        for row in grid:
-            for block in row:
-                data = BlockData.from_slice(small_matrix, block)
-                np.testing.assert_array_equal(
-                    data.local_rows, data.rows - block.row_range[0]
-                )
-                np.testing.assert_array_equal(
-                    data.local_cols, data.cols - block.col_range[0]
-                )
-                if data.nnz:
-                    assert data.local_rows.min() >= 0
-                    assert data.local_rows.max() < (
-                        block.row_range[1] - block.row_range[0]
-                    )
-                    assert data.local_cols.min() >= 0
-                    assert data.local_cols.max() < (
-                        block.col_range[1] - block.col_range[0]
-                    )
+        grid = grid_from_bounds(small_matrix, rows, cols)
+        for block in grid.iter_blocks():
+            data = BlockData.from_slice(small_matrix, block)
+            np.testing.assert_array_equal(
+                data.local_rows, small_matrix.rows[block.indices] - block.row_range[0]
+            )
+            np.testing.assert_array_equal(
+                data.local_cols, small_matrix.cols[block.indices] - block.col_range[0]
+            )
+            if data.nnz:
+                assert data.local_rows.min() >= 0
+                assert data.local_rows.max() < block.p_rows
+                assert data.local_cols.min() >= 0
+                assert data.local_cols.max() < block.q_cols
 
-    def test_arrays_are_contiguous_typed_and_read_only(self, small_matrix):
-        grid = extract_grid(
+    def test_arrays_are_contiguous_typed_and_read_only(
+        self, small_matrix, grid_from_bounds
+    ):
+        grid = grid_from_bounds(
             small_matrix,
             uniform_boundaries(small_matrix.n_rows, 2),
             uniform_boundaries(small_matrix.n_cols, 2),
         )
-        data = BlockData.from_slice(small_matrix, grid[0][0])
+        data = BlockData.from_slice(small_matrix, grid.block(0, 0))
+        assert not hasattr(data, "rows") and not hasattr(data, "cols")
         for array, dtype in (
-            (data.rows, np.int64),
-            (data.cols, np.int64),
             (data.vals, np.float64),
             (data.local_rows, np.int64),
             (data.local_cols, np.int64),
@@ -146,7 +154,8 @@ class TestBlockStore:
         assert store.task_data(task) is store.block_data(block)
 
     def test_multi_block_task_concatenates_in_block_order(self, small_split):
-        """Multi-block records must match Task.indices() gathering exactly."""
+        """Multi-block records hold the blocks' ratings in block order,
+        localised to the covering interval."""
         train, _ = small_split
         grid, _ = _grid_and_scheduler(train)
         gpu_blocks = [row[1] for row in grid.blocks[:2]]
@@ -154,25 +163,16 @@ class TestBlockStore:
         store = BlockStore(train)
         data = store.task_data(task)
 
-        idx = task.indices()
-        np.testing.assert_array_equal(data.rows, train.rows[idx])
-        np.testing.assert_array_equal(data.cols, train.cols[idx])
-        np.testing.assert_array_equal(data.vals, train.vals[idx])
-        # Covering ranges and consistent local indices.
         assert data.row_range[0] == min(b.row_range[0] for b in gpu_blocks)
         assert data.row_range[1] == max(b.row_range[1] for b in gpu_blocks)
-        np.testing.assert_array_equal(
-            data.local_rows, data.rows - data.row_range[0]
-        )
-        np.testing.assert_array_equal(
-            data.local_cols, data.cols - data.col_range[0]
-        )
+        idx = np.concatenate([block.indices for block in gpu_blocks])
+        _assert_global_ratings(data, train, idx)
         # And the merged record is cached as well.
         assert store.task_data(task) is data
 
     def test_scheduler_tasks_round_trip(self, small_split):
         """Every task an HSGD* scheduler emits must round-trip through the
-        store to exactly the ratings Task.indices() selects."""
+        store to exactly the ratings its blocks' indices select."""
         train, _ = small_split
         _, scheduler = _grid_and_scheduler(train)
         store = BlockStore(train)
@@ -183,31 +183,130 @@ class TestBlockStore:
             if task is None:
                 continue
             data = store.task_data(task)
-            idx = task.indices()
-            np.testing.assert_array_equal(data.rows, train.rows[idx])
-            np.testing.assert_array_equal(data.vals, train.vals[idx])
+            idx = np.concatenate([block.indices for block in task.blocks])
+            _assert_global_ratings(data, train, idx)
             seen += 1
             scheduler.complete_task(task)
         assert seen > 0
-
-    def test_grid_block_and_slice_both_accepted(self, small_matrix):
-        """BlockStore keys on (row_band, col_band): GridBlock and BlockSlice
-        records of the same cell coincide."""
-        rows = uniform_boundaries(small_matrix.n_rows, 2)
-        cols = uniform_boundaries(small_matrix.n_cols, 2)
-        raw = extract_grid(small_matrix, rows, cols)
-        bands = [
-            RowBand(index=i, row_range=(int(rows[i]), int(rows[i + 1])),
-                    region=Region.SHARED)
-            for i in range(2)
-        ]
-        grid = BlockGrid.build(small_matrix, bands, cols)
-        store = BlockStore(small_matrix)
-        from_slice = store.block_data(raw[1][0])
-        from_grid = store.block_data(grid.block(1, 0))
-        assert from_slice is from_grid
 
     def test_repr(self, small_matrix):
         store = BlockStore(small_matrix)
         assert "cached_blocks=0" in repr(store)
         assert store.matrix is small_matrix
+
+
+def test_merge_shifts_local_indices_to_the_covering_origin():
+    a = BlockData.from_arrays([2, 3], [5, 6], [1.0, 2.0], (2, 4), (5, 7))
+    b = BlockData.from_arrays([0], [9], [3.0], (0, 2), (8, 10))
+    merged = merge_block_data([a, b])
+    assert merged.row_range == (0, 4) and merged.col_range == (5, 10)
+    np.testing.assert_array_equal(merged.local_rows, [2, 3, 0])
+    np.testing.assert_array_equal(merged.local_cols, [0, 1, 4])
+    np.testing.assert_array_equal(merged.vals, [1.0, 2.0, 3.0])
+    assert not merged.local_rows.flags.writeable
+
+
+# --------------------------------------------------------------------------- #
+# Pinned block layout
+# --------------------------------------------------------------------------- #
+def _layout_digests(matrix, grid) -> dict:
+    """sha256 of every cell's indices and every block record, in grid order.
+
+    Each block's ratings must reach the kernels in the same order and with
+    the same band-local coordinates, so these digests pin the layout the
+    engine digests rest on, one level down.
+    """
+    hashers = {
+        name: hashlib.sha256()
+        for name in ("indices", "vals", "local_rows", "local_cols", "ranges")
+    }
+    store = BlockStore(matrix)
+    for block in grid.iter_blocks():
+        data = store.block_data(block)
+        hashers["indices"].update(np.asarray(block.indices, np.int64).tobytes())
+        for name in ("vals", "local_rows", "local_cols"):
+            hashers[name].update(getattr(data, name).tobytes())
+        bounds = data.row_range + data.col_range + (data.nnz,)
+        hashers["ranges"].update(np.array(bounds, dtype=np.int64).tobytes())
+    return {name: hasher.hexdigest() for name, hasher in hashers.items()}
+
+
+def _matrix_930k():
+    """A fresh 930k-rating Netflix-shaped matrix (no caches from other tests)."""
+    config = dataclasses.replace(
+        get_dataset("netflix").synthetic,
+        n_rows=80_000, n_cols=6_000, n_ratings=930_000, seed=7,
+    )
+    return generate_synthetic_matrix(config)[0]
+
+
+#: Digests recorded before the grid build became one counting pass and
+#: ``BlockData`` dropped its global-coordinate arrays.
+PINNED_LAYOUT_DIGESTS = {
+    "netflix": {
+        "indices": "fdb420dac841a4263920bf5dac87897a0c5d188df6f780cc7580d98f6b35fcf4",
+        "vals": "53d95268fe2cd9f6e5d9d94f4b4ae3e5c821ec72b7f40f788de4b3a96baab8ba",
+        "local_rows": "1e91c8b6f90b8d6cca946c2488495d53bf4061bdb729b9a68d9c7061ea4e6669",
+        "local_cols": "af9040e21a8515467a5986d9c946ccabbe2d8df5f7e6a943d56da122aec2a772",
+        "ranges": "3f0fb0ad0726c80898bf1ec3731ef6773da19fc096b9defdca4912d9f1263d23",
+    },
+    "930k": {
+        "indices": "9c3d3b8b0dbe17f6d891637a62942761dc297f1acb29a93898cc5ef3a7d59724",
+        "vals": "d953835a5400bb96cb0114fdd5168cf693a68d263db551df680f8c35934b0f8a",
+        "local_rows": "1d617df47edd269d0ce93207e88534a60da7a39ae8f12c5f3c604e220decd064",
+        "local_cols": "c6daa4b9be8eb984943d43853319fad33e964f87d71275059732342b1d6726bd",
+        "ranges": "d8a05c7ce6c51f1240f077cb9556d80328c61a50f377ed96e14ba017b0c9ff07",
+    },
+}
+
+
+class TestBlockLayoutPinned:
+    def test_netflix_hsgd_star_grid(self):
+        """The grid of the simulated paper-machine run: registry Netflix
+        analogue, seed 1, HSGD* on the default hardware at its alpha."""
+        data = load_dataset("netflix", seed=1)
+        hardware = HardwareConfig()
+        trainer = HeterogeneousTrainer(
+            "hsgd_star",
+            hardware,
+            training=data.spec.recommended_training(seed=1),
+            seed=1,
+        )
+        alpha = trainer.workload_split(data.train).alpha
+        spec = get_algorithm("hsgd_star")
+        grid = build_grid(
+            spec, data.train, effective_hardware(spec, hardware), alpha=alpha
+        )
+        assert _layout_digests(data.train, grid) == PINNED_LAYOUT_DIGESTS["netflix"]
+
+    @pytest.mark.slow
+    def test_930k_grid(self):
+        matrix = _matrix_930k()
+        grid = uniform_partition(matrix, 20, 33)
+        assert (grid.n_row_bands, grid.n_col_bands) == (20, 33)
+        assert _layout_digests(matrix, grid) == PINNED_LAYOUT_DIGESTS["930k"]
+
+
+@pytest.mark.slow
+def test_block_layout_memory_budget():
+    """The grid plus every block's record stays within 36 bytes per rating.
+
+    One int64 position per rating in the shared permutation, plus the
+    records' float64 values and two int64 band-local index arrays: 32
+    B/rating and a little bookkeeping.  tracemalloc counts numpy's
+    allocations, so the bound is exact and independent of wall time;
+    the input matrix is allocated before tracing starts.
+    """
+    import tracemalloc
+
+    matrix = _matrix_930k()
+    tracemalloc.start()
+    try:
+        grid = uniform_partition(matrix, 20, 33)
+        store = BlockStore(matrix)
+        records = [store.block_data(block) for block in grid.iter_blocks()]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(record.nnz for record in records) == matrix.nnz
+    assert peak / matrix.nnz <= 36

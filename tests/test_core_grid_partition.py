@@ -279,12 +279,6 @@ class TestTask:
         assert block.update_count == 1
         assert block.points_this_iteration == 7
 
-    def test_indices_concatenated_and_cached(self):
-        blocks = [self._block(0, 0, 0, nnz=3), self._block(1, 1, 0, nnz=2)]
-        task = Task(blocks=blocks, worker_index=0)
-        assert len(task.indices()) == 5
-        assert task.indices() is task.indices()
-
     def test_empty_task_rejected(self):
         with pytest.raises(SchedulingError):
             Task(blocks=[], worker_index=0)

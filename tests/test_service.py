@@ -747,6 +747,10 @@ class TestServiceChaos:
             config = ServiceConfig(workers=1, k=5, max_reader_restarts=2)
 
             async def scenario(server, client):
+                # start() returned once every reader was ready or retired,
+                # not at its wait_ready timeout (which cancels the waits).
+                readies = server._ready.values()
+                assert all(ready.done() and not ready.cancelled() for ready in readies)
                 for _ in range(100):
                     await asyncio.sleep(0.05)
                     if server._ring is None:
@@ -775,6 +779,10 @@ class TestServiceChaos:
             config = ServiceConfig(workers=1, k=5, max_reader_restarts=2)
 
             async def scenario(server, client):
+                # start() returned once every reader was ready or retired,
+                # not at its wait_ready timeout (which cancels the waits).
+                readies = server._ready.values()
+                assert all(ready.done() and not ready.cancelled() for ready in readies)
                 for _ in range(100):
                     await asyncio.sleep(0.05)
                     if server._ring is None:

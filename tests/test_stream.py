@@ -34,12 +34,7 @@ from repro.exceptions import (
 from repro.serve import ModelStore, attach_model
 from repro.shm import live_segment_names
 from repro.sgd import FactorModel, rmse
-from repro.sparse import (
-    BlockStore,
-    SparseRatingMatrix,
-    balanced_boundaries,
-    extract_grid,
-)
+from repro.sparse import BlockStore, SparseRatingMatrix, balanced_boundaries
 from repro.stream import (
     CaptureCheckpoint,
     DriftMonitor,
@@ -144,7 +139,7 @@ class TestDriftPolicy:
 
 
 class TestBlockStoreInvalidation:
-    def test_append_invalidates_cached_blocks(self):
+    def test_append_invalidates_cached_blocks(self, grid_from_bounds):
         """Regression pin: a mutated matrix must never serve stale blocks.
 
         The cache key is the (row band, col band) cell, which does not
@@ -159,11 +154,11 @@ class TestBlockStoreInvalidation:
         rows = balanced_boundaries(matrix.row_counts(), 2)
         cols = balanced_boundaries(matrix.col_counts(), 2)
         store = BlockStore(matrix)
-        block = extract_grid(matrix, rows, cols)[0][0]
+        block = grid_from_bounds(matrix, rows, cols).block(0, 0)
         before = store.block_data(block)
 
         matrix.append(np.array([0]), np.array([0]), np.array([9.0]))
-        after = store.block_data(extract_grid(matrix, rows, cols)[0][0])
+        after = store.block_data(grid_from_bounds(matrix, rows, cols).block(0, 0))
         assert after.nnz == before.nnz + 1
         assert 9.0 in after.vals
         # The pre-append record was untouched (immutable, still valid
